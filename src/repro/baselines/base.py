@@ -28,6 +28,7 @@ from repro.cluster.cluster import Cluster
 from repro.config import DEFAULT_SIM_CONFIG, SimConfig
 from repro.core.group_runtime import ExecutionMode, GroupRuntime
 from repro.core.job import Job, JobState
+from repro.core.memory_manager import feasible_floor
 from repro.core.perfmodel import PerfModel
 from repro.core.profiler import JobMetrics
 from repro.core.runtime import JobOutcome, RunResult
@@ -103,8 +104,7 @@ class BaselineMaster:
         self._group_ids = itertools.count()
         # machines_for/_memory_floor are pure in the batch's specs (the
         # cost model and config never change mid-run) but are re-asked
-        # on every _pump pass — profiling showed the floor's linear
-        # scan over resident_bytes dominating baseline wall time.
+        # on every _pump pass.
         self._machines_cache: dict[tuple[str, ...], int] = {}
         self._floor_cache: dict[tuple[str, ...], int] = {}
         self._metrics_cache: dict[tuple[str, int], JobMetrics] = {}
@@ -179,28 +179,16 @@ class BaselineMaster:
     def _memory_floor(self, specs: Sequence[JobSpec]) -> int:
         """Smallest DoP at which the jobs fit.
 
-        Uncoordinated modes do not spill (alpha = 0); when a spill
-        ratio is forced through the config (the ablation's static-spill
-        stages), the floor honours it.
+        Uncoordinated modes do not spill (alpha = 0); a spilling mode
+        honours the config's spill assumption, like Harmony's floors.
         """
         key = tuple(spec.job_id for spec in specs)
         cached = self._floor_cache.get(key)
         if cached is not None:
             return cached
-        alpha = 0.0
-        if self.mode.spill_enabled and self.config.memory.spill_enabled:
-            fixed = self.config.memory.fixed_alpha
-            alpha = 1.0 if fixed is None else fixed
-        budget = (self.cost_model.spec.usable_memory_bytes
-                  * self.config.memory.target_pressure)
-        floor = self.cluster.size + 1  # cannot co-locate this batch
-        for m in range(1, self.cluster.size + 1):
-            need = sum(self.cost_model.resident_bytes(spec, m,
-                                                      alpha=alpha)
-                       for spec in specs)
-            if need <= budget:
-                floor = m
-                break
+        floor = feasible_floor(self.cost_model, specs,
+                               self.mode.memory_config(self.config.memory),
+                               self.cluster.size)
         self._floor_cache[key] = floor
         return floor
 

@@ -157,6 +157,23 @@ class MemoryConfig:
     #: jobs' subtasks for free (background reloading, §IV-C).
     gc_model: GCModel = field(default_factory=GCModel)
 
+    @property
+    def floor_alpha(self) -> float:
+        """Disk-block ratio every memory-feasibility check (the masters'
+        floors, ``GroupRuntime.can_admit``) assumes: what
+        ``GroupMemoryManager`` can reach without, with a fixed, or with
+        an adaptive ratio."""
+        if not self.spill_enabled:
+            return 0.0
+        return 1.0 if self.fixed_alpha is None else self.fixed_alpha
+
+    @property
+    def model_spill_fallback(self) -> bool:
+        """Whether a job that does not fit at :attr:`floor_alpha` may be
+        assessed with its model data spilled too (§IV-C); only the
+        adaptive manager spills models."""
+        return self.spill_enabled and self.fixed_alpha is None
+
 
 @dataclass(frozen=True)
 class ExecutionConfig:

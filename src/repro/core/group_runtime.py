@@ -23,11 +23,11 @@ machine's; the barrier latency and straggler effects appear as the
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 from repro.cluster.memory import MemoryLedger
-from repro.config import GB, SimConfig
+from repro.config import GB, MemoryConfig, SimConfig
 from repro.core.job import Job
 from repro.core.memory_manager import GroupMemoryManager
 from repro.errors import OutOfMemoryError, SimulationError
@@ -59,6 +59,11 @@ class ExecutionMode(enum.Enum):
     @property
     def spill_enabled(self) -> bool:
         return self is ExecutionMode.HARMONY
+
+    def memory_config(self, memory: MemoryConfig) -> MemoryConfig:
+        """``memory`` as a group of this mode sees it."""
+        return memory if self.spill_enabled \
+            else replace(memory, spill_enabled=False)
 
 
 #: Interference penalty of uncoordinated sharing (naive baseline):
@@ -152,7 +157,8 @@ class GroupRuntime:
     def __init__(self, sim: Simulator, group_id: str,
                  machine_ids: tuple[int, ...], mode: ExecutionMode,
                  cost_model: CostModel, config: SimConfig,
-                 streams: RandomStreams, hooks: GroupHooks):
+                 streams: RandomStreams, hooks: GroupHooks,
+                 cluster_size: int | None = None):
         if not machine_ids:
             raise SimulationError(f"group {group_id} has no machines")
         self.sim = sim
@@ -163,6 +169,10 @@ class GroupRuntime:
         self.config = config
         self.streams = streams
         self.hooks = hooks
+        #: Machines the owning master could give one job (its floors'
+        #: limit); a standalone group is its own cluster.
+        self.cluster_size = cluster_size if cluster_size is not None \
+            else len(machine_ids)
 
         # Observability (repro.trace): None when tracing is off, so the
         # per-subtask hot path is gated by one attribute check.
@@ -196,11 +206,11 @@ class GroupRuntime:
 
         self.ledger = MemoryLedger(cost_model.spec,
                                    config.memory.gc_model)
+        #: The memory config as this group's mode sees it.
+        self.memory_config = mode.memory_config(config.memory)
         self.memory = GroupMemoryManager(
-            self.ledger, cost_model, config.memory,
-            n_machines=self.n_machines,
-            spill_enabled=(mode.spill_enabled
-                           and config.memory.spill_enabled))
+            self.ledger, cost_model, self.memory_config,
+            n_machines=self.n_machines)
         self.started_at = sim.now
         self.stopped_at: float | None = None
         self.crashed = False
@@ -264,23 +274,21 @@ class GroupRuntime:
         line: co-locating a job that would push the group deep into GC
         territory defeats the purpose (§IV-C balances exactly this).
         """
-        spill = self.memory.spill_enabled
-        fixed = self.config.memory.fixed_alpha
-        alpha = 1.0 if spill else 0.0
-        if spill and fixed is not None:
-            alpha = fixed
+        memory = self.memory_config
+        alpha = memory.floor_alpha
         # Identical budget basis to the master's memory floors: a plan
         # sized exactly at its floor must pass this gate, or placement
         # livelocks (plan -> reject -> re-plan forever).
         budget = (self.ledger.spec.usable_memory_bytes
-                  * self.config.memory.target_pressure)
+                  * memory.target_pressure)
         minimal_new = self.cost_model.resident_bytes(
             job.spec, self.n_machines, alpha=alpha)
-        if spill and fixed is None and minimal_new > budget:
-            # Only a job that cannot fit at all otherwise (e.g. an
-            # all-reduce full-model replica) is assessed with the
-            # §IV-C model-spill fallback — admit() will actually apply
-            # it in that case.
+        if memory.model_spill_fallback and self.cost_model.resident_bytes(
+                job.spec, self.cluster_size, alpha=alpha) > budget:
+            # Like the master's floor, only a job that input spill
+            # cannot fit on any machine count of the cluster (e.g. an
+            # all-reduce full-model replica) is assessed with the §IV-C
+            # model-spill fallback.
             minimal_new = min(minimal_new, self.cost_model.resident_bytes(
                 job.spec, self.n_machines, alpha=1.0,
                 model_spilled=True))
@@ -291,7 +299,7 @@ class GroupRuntime:
                 j.spec, self.n_machines,
                 alpha=alpha if not j.model_spilled else 1.0,
                 model_spilled=j.model_spilled)
-            for j in self._jobs.values()) if spill \
+            for j in self._jobs.values()) if memory.spill_enabled \
             else self.ledger.resident_bytes
         return minimal_existing + minimal_new <= budget
 

@@ -26,6 +26,7 @@ from repro.cluster.cluster import Cluster
 from repro.config import SimConfig
 from repro.core.group_runtime import ExecutionMode, GroupRuntime
 from repro.core.job import Job, JobState
+from repro.core.memory_manager import feasible_floor
 from repro.core.perfmodel import GroupEstimate, PerfModel
 from repro.core.profiler import JobMetrics, Profiler
 from repro.core.regroup import (
@@ -353,7 +354,7 @@ class HarmonyMaster:
 
     def _bootstrap_group(self, job: Job) -> GroupRuntime | None:
         floor = self._memory_floor([job.job_id])
-        wanted = max(_BOOTSTRAP_MACHINES, floor)
+        wanted = max(min(_BOOTSTRAP_MACHINES, self.cluster.size), floor)
         if wanted > self.cluster.n_free:
             return None
         return self._start_group((), wanted)
@@ -908,7 +909,8 @@ class HarmonyMaster:
         machine_ids = self.cluster.allocate(n_machines, group_id)
         group = GroupRuntime(self.sim, group_id, machine_ids,
                              ExecutionMode.HARMONY, self.cost_model,
-                             self.config, self.streams, hooks=self)
+                             self.config, self.streams, hooks=self,
+                             cluster_size=self.cluster.size)
         self.groups[group_id] = group
         self.recorder.group_started(group_id, n_machines, self.sim.now,
                                     group.cpu, group.net)
@@ -1012,44 +1014,18 @@ class HarmonyMaster:
 
     def _memory_floor(self, job_ids: Sequence[str]) -> int:
         """Smallest machine count where the given jobs co-locate near the
-        target memory pressure, assuming maximal input spill (the
-        scheduler's feasibility view, based on sampled sizes)."""
+        target memory pressure under the config's spill assumption (the
+        scheduler's feasibility view, based on sampled sizes).  Pure in
+        the job specs, so it is memoized per job set."""
         key = tuple(job_ids)
         cached = self._memory_floor_cache.get(key)
         if cached is not None:
             return cached
-        result = self._memory_floor_uncached(job_ids)
+        result = feasible_floor(self.cost_model,
+                                [self.jobs[jid].spec for jid in job_ids],
+                                self.config.memory, self.cluster.size)
         self._memory_floor_cache[key] = result
         return result
-
-    def _memory_floor_uncached(self, job_ids: Sequence[str]) -> int:
-        # Pure in the job specs: sizes, the cost model, and the config
-        # never change after submission, so the linear scan (a
-        # resident_bytes sum per candidate m) runs once per job set.
-        budget = (self.cost_model.spec.usable_memory_bytes
-                  * self.config.memory.target_pressure)
-        spill = self.config.memory.spill_enabled
-        alpha = 1.0 if spill else 0.0
-        fixed = self.config.memory.fixed_alpha
-        if fixed is not None:
-            alpha = fixed
-        specs = [self.jobs[jid].spec for jid in job_ids]
-        for m in range(1, self.cluster.size + 1):
-            need = sum(self.cost_model.resident_bytes(spec, m, alpha=alpha)
-                       for spec in specs)
-            if need <= budget:
-                return m
-        if spill:
-            # §IV-C fallback: the model data itself can be spilled when
-            # input spill is not enough (essential under all-reduce,
-            # where every machine holds a full model replica).
-            for m in range(1, self.cluster.size + 1):
-                need = sum(self.cost_model.resident_bytes(
-                    spec, m, alpha=1.0, model_spilled=True)
-                    for spec in specs)
-                if need <= budget:
-                    return m
-        return self.cluster.size + 1  # cannot be placed at all
 
     # ------------------------------------------------- decision bookkeeping
 

@@ -12,12 +12,34 @@ enough", §IV-C).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.cluster.memory import MemoryLedger
 from repro.config import MemoryConfig
 from repro.core.job import Job
+from repro.workloads.apps import JobSpec
 from repro.workloads.costmodel import CostModel
+
+
+def feasible_floor(cost_model: CostModel, specs: Sequence[JobSpec],
+                   memory: MemoryConfig, limit: int) -> int:
+    """Smallest machine count in ``1..limit`` at which ``specs``
+    co-locate near the target pressure under ``memory``'s spill
+    assumption; ``limit + 1`` when they cannot be placed at all.
+
+    The model-spill fallback only counts when input spill alone fits on
+    no machine count up to ``limit``: plans prefer more machines over
+    reloading model data every iteration.
+    """
+    floor = cost_model.memory_floor(
+        specs, memory.floor_alpha, target_pressure=memory.target_pressure,
+        limit=limit)
+    if floor > limit and memory.model_spill_fallback:
+        floor = cost_model.memory_floor(
+            specs, 1.0, target_pressure=memory.target_pressure,
+            limit=limit, model_spilled=True)
+    return floor
 
 
 @dataclass
@@ -34,13 +56,12 @@ class GroupMemoryManager:
     """Block-ratio management for the jobs of one group."""
 
     def __init__(self, ledger: MemoryLedger, cost_model: CostModel,
-                 config: MemoryConfig, n_machines: int,
-                 spill_enabled: bool = True):
+                 config: MemoryConfig, n_machines: int):
         self.ledger = ledger
         self.cost_model = cost_model
         self.config = config
         self.n_machines = n_machines
-        self.spill_enabled = spill_enabled
+        self.spill_enabled = config.spill_enabled
         self._states: dict[str, _JobMemoryState] = {}
         self._jobs: dict[str, Job] = {}
 

@@ -12,6 +12,8 @@ exactly as in the paper, where the scheduler works from runtime metrics
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.cluster.disk import DiskModel
@@ -144,20 +146,62 @@ class CostModel:
                 + self.model_resident_bytes(job, m, model_spilled)
                 + self.workspace_bytes(job, m, alpha))
 
-    def memory_floor(self, job: JobSpec, alpha: float = 0.0,
-                     target_pressure: float = 0.90,
-                     max_machines: int = 10_000) -> int:
-        """Smallest DoP at which the job fits in memory alone.
+    def memory_floor(self, jobs: Sequence[JobSpec], alpha: float, *,
+                     target_pressure: float, limit: int,
+                     model_spilled: bool = False) -> int:
+        """Smallest machine count in ``1..limit`` at which ``jobs``
+        co-locate with every machine at most ``target_pressure`` full;
+        ``limit + 1`` when none does.
 
-        Used by the isolated baseline (which cannot spill, alpha = 0)
-        and by the scheduler's feasibility checks.
+        Every job holds ``A/m + B`` bytes per machine (see
+        :meth:`_affine_resident`), so the floor has the closed form
+        ``ceil(ΣA / (budget − ΣB))``.  Float rounding can put that one
+        step off the exact predicate ``Σ resident_bytes(m) <= budget``;
+        the fixup steps to where the predicate flips, which makes the
+        result bitwise-equal to a linear scan over ``m``.
         """
         budget = self.spec.usable_memory_bytes * target_pressure
-        for m in range(1, max_machines + 1):
-            if self.resident_bytes(job, m, alpha) <= budget:
-                return m
-        raise WorkloadError(
-            f"job {job.job_id} does not fit on {max_machines} machines")
+
+        def fits(m: int) -> bool:
+            return sum(self.resident_bytes(job, m, alpha, model_spilled)
+                       for job in jobs) <= budget
+
+        sum_a = sum_b = 0.0
+        for job in jobs:
+            a, b = self._affine_resident(job, alpha, model_spilled)
+            sum_a += a
+            sum_b += b
+        headroom = budget - sum_b
+        if headroom <= 0 or sum_a / headroom > limit:
+            m = limit + 1
+        else:
+            m = max(1, math.ceil(sum_a / headroom))
+        while m > 1 and fits(m - 1):
+            m -= 1
+        while m <= limit and not fits(m):
+            m += 1
+        return m
+
+    def _affine_resident(self, job: JobSpec, alpha: float,
+                         model_spilled: bool) -> tuple[float, float]:
+        """``(A, B)`` with ``resident_bytes(job, m) == A/m + B``.
+
+        Input blocks and their workspace share scale as 1/m; the worker
+        cache and its workspace share do not; the model counts towards
+        ``A`` as a PS partition, towards ``B`` as an all-reduce replica,
+        and not at all once spilled.
+        """
+        grow = 1.0 + job.app.workspace_fraction
+        model_bytes = job.model_gb * GB
+        a = (job.input_gb * GB * job.app.memory_expansion
+             * (1.0 - alpha) * grow)
+        b = model_bytes * job.app.worker_cache_fraction * grow
+        if not model_spilled:
+            if self.comm_architecture == "allreduce":
+                b += model_bytes
+            else:
+                a += model_bytes
+        return a, b
 
     # -- disk traffic ------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for dynamic data reloading (§IV-C)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.memory import MemoryLedger
@@ -13,10 +15,11 @@ from repro.workloads.costmodel import CostModel
 def _manager(n_machines=8, spill=True, config=None, machine_spec=None):
     cost_model = CostModel(machine_spec)
     ledger = MemoryLedger(cost_model.spec)
+    config = config if config is not None else MemoryConfig()
     manager = GroupMemoryManager(
         ledger, cost_model,
-        config if config is not None else MemoryConfig(),
-        n_machines=n_machines, spill_enabled=spill)
+        config if spill else replace(config, spill_enabled=False),
+        n_machines=n_machines)
     return manager, ledger
 
 

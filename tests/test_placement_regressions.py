@@ -9,8 +9,17 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import DEFAULT_SIM_CONFIG
+from repro.baselines.isolated import IsolatedRuntime
+from repro.cluster.cluster import Cluster
+from repro.config import DEFAULT_SIM_CONFIG, MemoryConfig
+from repro.core.group_runtime import ExecutionMode, GroupRuntime
+from repro.core.job import Job
+from repro.core.master import HarmonyMaster
 from repro.core.runtime import HarmonyRuntime
+from repro.metrics.utilization import ClusterUsageRecorder
+from repro.sim import RandomStreams, Simulator
+from repro.workloads.apps import DATASETS, JobSpec, LDA
+from repro.workloads.costmodel import CostModel
 from repro.workloads.generator import WorkloadGenerator
 
 
@@ -53,38 +62,74 @@ class TestFixedAlphaPlacement:
         assert max(pressures) < 1.0
 
 
+def probe_master(config, n_machines=100):
+    """A master holding the base workload's jobs, none of them placed."""
+    sim = Simulator()
+    master = HarmonyMaster(sim, Cluster(n_machines, config.machine),
+                           CostModel(config.machine), config,
+                           RandomStreams(1),
+                           ClusterUsageRecorder(n_machines))
+    for spec in WorkloadGenerator(5).base_workload(hyper_params_per_pair=1):
+        master.jobs[spec.job_id] = Job(spec)
+    return master
+
+
+def fresh_group_admits(master, job_id, n_machines):
+    group = GroupRuntime(master.sim, f"probe-{job_id}",
+                         tuple(range(n_machines)), ExecutionMode.HARMONY,
+                         master.cost_model, master.config, RandomStreams(1),
+                         master, cluster_size=master.cluster.size)
+    return group.can_admit(master.jobs[job_id])
+
+
 class TestPlanFloorGateAlignment:
     """A plan sized exactly at its memory floor must pass the admission
-    gate, or placement livelocks (plan -> reject -> re-plan forever)."""
+    gate, or placement livelocks (plan -> reject -> re-plan forever);
+    and the floor is tight, or plans hold machines no job needs."""
 
     def test_floor_sized_groups_are_admittable(self):
-        from repro.cluster.cluster import Cluster
-        from repro.core.group_runtime import ExecutionMode, GroupRuntime
-        from repro.core.job import Job
-        from repro.core.master import HarmonyMaster
-        from repro.metrics.utilization import ClusterUsageRecorder
-        from repro.sim import RandomStreams, Simulator
-        from repro.workloads.costmodel import CostModel
+        master = probe_master(DEFAULT_SIM_CONFIG)
+        for job_id in master.jobs:
+            floor = master._memory_floor([job_id])
+            assert floor <= master.cluster.size
+            assert fresh_group_admits(master, job_id, floor), \
+                f"{job_id} rejected at its own floor ({floor})"
 
-        config = DEFAULT_SIM_CONFIG
-        sim = Simulator()
-        cluster = Cluster(100, config.machine)
-        master = HarmonyMaster(sim, cluster, CostModel(config.machine),
-                               config, RandomStreams(1),
-                               ClusterUsageRecorder(100))
-        jobs = WorkloadGenerator(5).base_workload(hyper_params_per_pair=1)
-        for spec in jobs:
-            master.jobs[spec.job_id] = Job(spec)
-        for spec in jobs:
-            floor = master._memory_floor([spec.job_id])
-            assert floor <= cluster.size
-            group = GroupRuntime(sim, f"probe-{spec.job_id}",
-                                 tuple(range(floor)),
-                                 ExecutionMode.HARMONY,
-                                 master.cost_model, config,
-                                 RandomStreams(1), master)
-            assert group.can_admit(master.jobs[spec.job_id]), \
-                f"{spec.job_id} rejected at its own floor ({floor})"
+    @pytest.mark.parametrize("spill_enabled", [True, False])
+    @pytest.mark.parametrize("fixed_alpha", [None, 0.5])
+    def test_floor_is_the_admission_boundary(self, spill_enabled,
+                                             fixed_alpha):
+        """Floor and gate read one spill assumption: a fresh group at
+        the floor admits the job, one machine fewer does not (spill off
+        with a fixed alpha once floored at alpha = 0.5 while the gate
+        used 0, and the floor once assumed model spill under a fixed
+        alpha, which the gate never did)."""
+        config = replace(DEFAULT_SIM_CONFIG, memory=MemoryConfig(
+            spill_enabled=spill_enabled, fixed_alpha=fixed_alpha))
+        master = probe_master(config)
+        for job_id in master.jobs:
+            floor = master._memory_floor([job_id])
+            assert floor <= master.cluster.size
+            assert fresh_group_admits(master, job_id, floor), \
+                f"{job_id} rejected at its own floor ({floor})"
+            if floor > 1:
+                assert not fresh_group_admits(master, job_id, floor - 1), \
+                    f"{job_id} admitted below its floor ({floor})"
+
+
+class TestTinyClusters:
+    """Harmony once asked every bootstrap profiling group for four
+    machines, so on clusters of one to three machines no job was ever
+    profiled and the run drained with every job waiting."""
+
+    @pytest.mark.parametrize("n_machines", [1, 2, 3])
+    def test_jobs_finish_like_isolated(self, n_machines):
+        jobs = [JobSpec(f"lda{i}", LDA, DATASETS["LDA"][0], iterations=5)
+                for i in range(3)]
+        isolated = IsolatedRuntime(n_machines, jobs).run()
+        harmony = HarmonyRuntime(n_machines, jobs).run()
+        assert len(isolated.finished) == len(jobs)
+        assert len(harmony.finished) == len(jobs)
 
 
 class TestShrunkSlotSafety:

@@ -82,8 +82,12 @@ class TestCostModel:
 
     def test_memory_floor_monotone_in_alpha(self, cost_model):
         spec = JobSpec("a", MLR, DATASETS["MLR"][1])
-        assert cost_model.memory_floor(spec, alpha=1.0) <= \
-            cost_model.memory_floor(spec, alpha=0.0)
+
+        def floor(alpha):
+            return cost_model.memory_floor([spec], alpha,
+                                           target_pressure=0.9,
+                                           limit=10_000)
+        assert floor(1.0) <= floor(0.5) <= floor(0.0) <= 10_000
 
     def test_reload_bytes_proportional(self, cost_model):
         spec = JobSpec("a", MLR, DATASETS["MLR"][0])
@@ -106,6 +110,74 @@ class TestCostModel:
     def test_resident_bytes_positive(self, m, alpha):
         spec = JobSpec("a", MLR, DATASETS["MLR"][0])
         assert CostModel().resident_bytes(spec, m, alpha) > 0
+
+
+def scan_floor(cost_model, specs, alpha, target_pressure, limit,
+               model_spilled=False):
+    """The floor by definition: the first machine count that fits."""
+    budget = cost_model.spec.usable_memory_bytes * target_pressure
+    for m in range(1, limit + 1):
+        if sum(cost_model.resident_bytes(spec, m, alpha, model_spilled)
+               for spec in specs) <= budget:
+            return m
+    return limit + 1
+
+
+job_specs = st.builds(
+    lambda i, app, dataset, model_scale: JobSpec(
+        f"j{i}", APPS[app], DATASETS[app][dataset],
+        model_scale=model_scale),
+    st.integers(0, 99), st.sampled_from(sorted(APPS)), st.integers(0, 1),
+    st.floats(0.05, 8.0))
+
+
+class TestMemoryFloor:
+    """The closed-form floor is pinned bitwise to the linear scan."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(specs=st.lists(job_specs, min_size=1, max_size=6),
+           architecture=st.sampled_from(["ps", "allreduce"]),
+           alpha=st.one_of(st.sampled_from([0.0, 1.0]),
+                           st.floats(0.0, 1.0)),
+           model_spilled=st.booleans(),
+           target_pressure=st.floats(0.01, 1.0),
+           limit=st.one_of(st.integers(1, 64), st.integers(1, 10_000)))
+    def test_matches_linear_scan(self, specs, architecture, alpha,
+                                 model_spilled, target_pressure, limit):
+        cost_model = CostModel(comm_architecture=architecture)
+        assert cost_model.memory_floor(
+            specs, alpha, target_pressure=target_pressure, limit=limit,
+            model_spilled=model_spilled) == scan_floor(
+            cost_model, specs, alpha, target_pressure, limit,
+            model_spilled)
+
+    @pytest.mark.parametrize("architecture", ["ps", "allreduce"])
+    def test_budget_below_constant_share_is_infeasible(self, architecture):
+        """Below ΣB (per-machine bytes no machine count divides) nothing
+        fits, whatever the limit."""
+        cost_model = CostModel(comm_architecture=architecture)
+        spec = JobSpec("a", MLR, DATASETS["MLR"][1], model_scale=8.0)
+        for limit in (1, 100, 10_000):
+            assert cost_model.memory_floor(
+                [spec], 1.0, target_pressure=0.05, limit=limit) == limit + 1
+
+    def test_boundary_machine_count(self, cost_model):
+        """At a budget exactly equal to the footprint on m machines, the
+        floor is m itself."""
+        spec = JobSpec("a", MLR, DATASETS["MLR"][1])
+        for m in (1, 2, 7, 16, 33):
+            pressure = (cost_model.resident_bytes(spec, m, 0.3)
+                        / cost_model.spec.usable_memory_bytes)
+            floor = cost_model.memory_floor([spec], 0.3,
+                                            target_pressure=pressure,
+                                            limit=100)
+            assert floor == scan_floor(cost_model, [spec], 0.3, pressure,
+                                       100)
+            assert floor in (m, m + 1)
+
+    def test_empty_set_fits_one_machine(self, cost_model):
+        assert cost_model.memory_floor([], 0.0, target_pressure=0.5,
+                                       limit=3) == 1
 
 
 class TestGenerator:
