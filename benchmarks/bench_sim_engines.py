@@ -27,26 +27,3 @@ def test_sim_engine_fast_path(once, benchmark):
     # deterministic config; the floor leaves headroom for CI jitter).
     assert comparison.speedup >= 3.0
 
-
-def test_sim_engine_multi_job(once, benchmark):
-    """Coordinated drive lane on a contended 5-job group.
-
-    Multi-job groups cannot take the fused solo lane — their subtasks
-    contend through shared rate policies — so the win is the drive
-    lane's alone: parked wakes served without heap round-trips.
-    """
-    comparison = once(sim_engines.run_multi)
-    print()
-    print(sim_engines.report(comparison))
-    benchmark.extra_info["speedup"] = round(comparison.speedup, 2)
-    benchmark.extra_info["fast_seconds"] = round(
-        comparison.fast.wall_seconds, 3)
-    benchmark.extra_info["reference_seconds"] = round(
-        comparison.reference.wall_seconds, 3)
-
-    assert comparison.outcomes_equal
-
-    # Measured ~2x (the shared generator/process machinery the solo
-    # lane also skips is still paid per wake here); the floor leaves
-    # the same proportional headroom for CI jitter as the solo gate.
-    assert comparison.speedup >= 1.5

@@ -318,7 +318,7 @@ class ThreadingInSimClock(BaseRule):
                 "(blocks the warped clock instead of skipping)")
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if not self._drives_sim_clock(ctx):
+        if not self._is_sim_clock_code(ctx):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -333,7 +333,7 @@ class ThreadingInSimClock(BaseRule):
                     f"simulation events instead")
 
     @staticmethod
-    def _drives_sim_clock(ctx: FileContext) -> bool:
+    def _is_sim_clock_code(ctx: FileContext) -> bool:
         if ctx.module.startswith("repro.sim"):
             return True
         return any(target == "repro.sim" or

@@ -42,6 +42,7 @@ from repro.policies.base import (
 )
 from repro.policies.queueing import packed_fifo
 from repro.sim import RandomStreams, Simulator
+from repro.trace.tracer import build_tracer
 from repro.workloads.apps import JobSpec
 from repro.workloads.costmodel import CostModel
 
@@ -371,6 +372,11 @@ class BaselineRuntime:
                  policy: SchedulingPolicy | None = None):
         self.config = config
         self.sim = Simulator()
+        if config.trace.enabled:
+            # As in HarmonyRuntime: installed before the master/groups
+            # so they see an enabled tracer.
+            self.sim.tracer = build_tracer(lambda: self.sim.now,
+                                           config.trace)
         self.cluster = Cluster(n_machines, config.machine)
         self.cost_model = cost_model if cost_model is not None \
             else CostModel(config.machine)
@@ -425,4 +431,5 @@ class BaselineRuntime:
             _all_cycles=all_cycles,
             alpha_samples=[],
             # harmony: allow[DET001] wall_seconds measures real runtime, never simulation state
-            wall_seconds=_time.perf_counter() - wall_start)
+            wall_seconds=_time.perf_counter() - wall_start,
+            trace=self.sim.tracer if self.sim.tracer.enabled else None)

@@ -1,16 +1,23 @@
 """Closed-form oracles shared by the checker and the fast path.
 
 Extracted from :mod:`repro.check.differential` so the same Eq. 1
-arithmetic backs both roles:
+arithmetic backs three roles:
 
 * the *checker* role — :func:`exact_metrics` + ``PerfModel`` predict a
   group's iteration time from the cost model alone, and the differential
-  suite compares the prediction against the simulated engine; and
-* the *fast-path* role — :mod:`repro.sim.fastpath` batch-advances
-  iteration-inert groups, and these helpers provide the vectorized
-  closed-form timelines (:func:`step_boundaries`,
-  :func:`predict_iteration_seconds`) used for struct-of-arrays batch
-  accounting and cross-engine comparison.
+  suite compares the prediction against the simulated engine;
+* the *fast-path* role — the solo lane of :mod:`repro.sim.fastpath`
+  batch-advances iteration-inert single-job groups, and these helpers
+  provide the vectorized closed-form timelines
+  (:func:`step_boundaries`, :func:`predict_iteration_seconds`) used
+  for struct-of-arrays batch accounting and cross-engine comparison;
+  and
+* the *multi-job* role — multi-job groups have no batched lane; they
+  run the per-event path, which reads its rates from
+  ``RateResource``'s per-queue-length memo.
+  :func:`predict_group_boundaries` replays such a group from the rate
+  policies themselves, never through that memo, so comparing it with
+  the engine checks the memoized path independently.
 
 Everything here is pure: no simulator, no clock, no RNG.
 """

@@ -78,25 +78,13 @@ _LANE_SORT = {"cpu": 0, "net": 1, "disk": 2}
 class GroupHooks(Protocol):
     """Callbacks a :class:`GroupRuntime` delivers to its master.
 
-    A hooks implementation may additionally declare one of two class
-    attributes governing the batched fast path
-    (:mod:`repro.sim.fastpath`):
-
-    * ``iteration_hooks_inert = True`` promises that ``on_iteration``
-      neither mutates the group (no pause/crash/regroup/add-job) nor
-      reads cluster state keyed to the wall clock.  That promise is
-      what lets the fused solo lane run a whole single-job group's
-      iterations under a warped clock; terminal hooks
-      (``on_job_finished``/``on_job_failed``) still fire at real time.
-    * ``iteration_hooks_replayable = True`` is the weaker contract:
-      hooks may observe and mutate (pause jobs, record utilization,
-      hill-climb alpha) but only through the simulator/group APIs.
-      Such groups take the coordinated drive lane, where every hook —
-      per-iteration and terminal — runs at its true simulated time
-      with true state, so no warped-clock restriction applies.
-
-    ``inert`` implies ``replayable``; declaring both is redundant but
-    harmless.
+    A hooks implementation may additionally declare the class attribute
+    ``iteration_hooks_inert = True``, promising that ``on_iteration``
+    neither mutates the group (no pause/crash/regroup/add-job) nor
+    reads cluster state keyed to the wall clock.  That promise is what
+    lets the batched fast path (:mod:`repro.sim.fastpath`) run a whole
+    single-job group's iterations under a warped clock; terminal hooks
+    (``on_job_finished``/``on_job_failed``) still fire at real time.
     """
 
     def on_iteration(self, job: Job, group: "GroupRuntime") -> None: ...
@@ -226,23 +214,14 @@ class GroupRuntime:
         # (retransmits).  Overlapping windows compose multiplicatively.
         self._fault_cpu_factor = 1.0
         self._fault_net_factor = 1.0
-        # Batched fast path.  Masters whose per-iteration hooks are
-        # declared inert get both lanes (the fused single-job solo lane
-        # and the coordinated drive lane for multi-job groups); masters
-        # declaring them replayable — hooks that observe/mutate only
-        # through simulator APIs, like HarmonyMaster's profiler and
-        # pause machinery — get the coordinated lane, which runs every
-        # callback at true simulated times.  Everyone else stays on the
-        # frozen per-event reference path.
-        hooks_inert = bool(getattr(hooks, "iteration_hooks_inert", False))
-        hooks_replayable = bool(
-            getattr(hooks, "iteration_hooks_replayable", False))
-        engine = None
-        if config.engine == "fast" and (hooks_inert or hooks_replayable):
-            engine = GroupBatchEngine(self, solo_ok=hooks_inert)
-            if not engine.attach():
-                engine = None  # fastpath_enabled already off
-        self._engine = engine
+        # Batched fast path: only masters whose per-iteration hooks
+        # are declared inert may have their single-job groups
+        # batch-advanced (the solo lane); every other group runs the
+        # per-event path.
+        self._engine = (GroupBatchEngine(self)
+                        if config.engine == "fast"
+                        and getattr(hooks, "iteration_hooks_inert", False)
+                        else None)
 
     # -- inspection ------------------------------------------------------------
 
@@ -602,10 +581,6 @@ class GroupRuntime:
                 self.cost_model.reload_bytes_per_iteration(
                     job.spec, self.n_machines, job.alpha))
         return self.disk.submit(seconds, tag=job.job_id)
-
-    def _jitter(self, job_id: str) -> float:
-        return self.streams.jitter(f"duration:{self.group_id}:{job_id}",
-                                   self._duration_jitter_cv)
 
     def _comm_interference(self) -> float:
         """Occasional bursty-traffic slowdown on a COMM subtask (§VI

@@ -266,9 +266,6 @@ class LocalHarmonyRuntime:
             return token
         return _NullContext()
 
-    def _profile(self, job: LocalJob, worker_id: int, epoch: int) -> None:
-        """Hook point for subclasses (kept trivial here)."""
-
 
 class _NullContext:
     def __enter__(self):

@@ -71,35 +71,8 @@ class _Rebuild:
     slots: list[tuple[str, tuple[str, ...], int]]
 
 
-class _SchedulerPlanner:
-    """Default planner: forwards to the master's ``HarmonyScheduler``.
-
-    Structurally identical to
-    :class:`repro.policies.planner.SchedulerPlanner`; duplicated here
-    because this module must not import :mod:`repro.policies` (the
-    policy registry imports the runtimes, which import this master).
-    """
-
-    def __init__(self, scheduler):
-        self.scheduler = scheduler
-
-    def plan(self, jobs, total_machines):
-        return self.scheduler.schedule(jobs, total_machines)
-
-
 class HarmonyMaster:
     """Scheduling brain bound to a simulator and a cluster."""
-
-    #: Fast-path contract (see :class:`repro.core.group_runtime
-    #: .GroupHooks`): the per-iteration hooks observe and mutate live
-    #: state (profiler EMA updates, PROFILING→PROFILED transitions that
-    #: cascade into Algorithm 1, pause requests) — not inert — but they
-    #: act only through the simulator/group APIs, so they are correct
-    #: whenever they run at true simulated times.  That qualifies this
-    #: master's groups for the coordinated drive lane, which serves
-    #: every parked completion at its true ``(when, seq)`` heap
-    #: position.
-    iteration_hooks_replayable = True
 
     def __init__(self, sim: Simulator, cluster: Cluster,
                  cost_model: CostModel, config: SimConfig,
@@ -107,7 +80,6 @@ class HarmonyMaster:
                  recorder: ClusterUsageRecorder,
                  perf_model: PerfModel | None = None,
                  scheduler_factory=None,
-                 planner=None,
                  fault_log: FaultLog | None = None):
         self.sim = sim
         self.cluster = cluster
@@ -136,14 +108,6 @@ class HarmonyMaster:
         self.scheduler = scheduler_factory(
             perf_model=self.perf_model, config=config.scheduler,
             memory_floor=self._memory_floor)
-        # Planner seam (repro.policies.planner.PlannerPolicy): every
-        # observe->plan step goes through ``self.planner.plan(...)``, so
-        # alternative planners inject without subclassing the master.
-        # The default adapter is defined inline (_SchedulerPlanner)
-        # because importing repro.policies here would cycle back through
-        # the registry into this module.
-        self.planner = planner if planner is not None \
-            else _SchedulerPlanner(self.scheduler)
         # Observability (repro.trace): scheduler decisions land on a
         # dedicated "master" lane as instant events; None when tracing
         # is off so decision paths pay one attribute check.
@@ -482,7 +446,7 @@ class HarmonyMaster:
         pool += self._paused_metrics()
         if not pool:
             return
-        plan = self.planner.plan(pool, budget)
+        plan = self.scheduler.schedule(pool, budget)
         if plan is None:
             return
         current_estimates = []
@@ -695,7 +659,7 @@ class HarmonyMaster:
                       + self.cluster.n_free)
             if budget < 1:
                 continue
-            plan = self.planner.plan(pool, budget)
+            plan = self.scheduler.schedule(pool, budget)
             if plan is None:
                 continue
             score = self._score_plan_with_rest(plan, exclude=scope_ids)
@@ -722,7 +686,7 @@ class HarmonyMaster:
         paused = self._paused_metrics()
         if free < 1 or not paused:
             return
-        plan = self.planner.plan(paused, free)
+        plan = self.scheduler.schedule(paused, free)
         if plan is None:
             return
         for group_plan in plan.groups:

@@ -1,15 +1,9 @@
 """Simulator engine microbenchmark: batched fast path vs reference.
 
-Runs the same group — once under the ``"fast"`` engine and once under
-``"reference"`` — and compares both wall-clock cost and simulated
-outcomes.  Two scenarios cover the engine's two lanes:
-
-* :func:`run` — a long single-job group, the *solo lane*'s shape: the
-  whole job batches in closed form (measured ~4.5x).
-* :func:`run_multi` — a 5-job contended group, the *coordinated drive
-  lane*'s shape: every wake is parked and served in drive windows
-  without heap round-trips (measured ~2x; the shared generator/event
-  machinery that the solo lane also skips is still paid here).
+Runs the same long single-job group — the *solo lane*'s shape, where
+the whole job batches in closed form — once under the ``"fast"``
+engine and once under ``"reference"``, and compares both wall-clock
+cost and simulated outcomes.
 
 The win must come from skipped event-loop work, not changed behaviour:
 the two runs' simulated durations and iteration times are asserted
@@ -53,7 +47,6 @@ class EngineComparison:
     reference: EngineRun
     n_iterations: int
     n_machines: int
-    n_jobs: int = 1
 
     @property
     def speedup(self) -> float:
@@ -99,53 +92,9 @@ def run(iterations: int = DEFAULT_ITERATIONS, m: int = 4,
                             n_iterations=iterations, n_machines=m)
 
 
-#: Drive-lane scenario: enough co-located jobs that every wake goes
-#: through the coordinated engine, on enough machines that the group
-#: stays healthy (no GC-pressure inflation blowing up iteration times).
-MULTI_JOBS = 5
-MULTI_ITERATIONS = 2_400
-MULTI_MACHINES = 24
-
-
-def run_multi(iterations: int = MULTI_ITERATIONS,
-              n_jobs: int = MULTI_JOBS, m: int = MULTI_MACHINES,
-              seed: int = 7, rounds: int = 3) -> EngineComparison:
-    """Measure both engines on one contended multi-job HARMONY group.
-
-    Unlike :func:`run` this times CPU seconds (``time.process_time``)
-    over interleaved rounds, keeping best-of: the effect under test
-    (~2x) is smaller than the solo lane's, and wall-clock noise on a
-    shared machine can exceed it.
-    """
-    pool = WorkloadGenerator(seed).base_workload(hyper_params_per_pair=1)
-    specs = [replace(pool[i % len(pool)], job_id=f"j{i}",
-                     iterations=iterations, submit_time=0.0)
-             for i in range(n_jobs)]
-    config = deterministic_config(seed)
-    best: dict[str, float] = {"fast": float("inf"),
-                              "reference": float("inf")}
-    results: dict[str, SingleGroupResult] = {}
-    for _ in range(max(1, rounds)):
-        for engine in ("fast", "reference"):
-            cfg = config.with_engine(engine)
-            # harmony: allow[DET001] wall_seconds measures real runtime, never simulation state
-            t0 = time.process_time()
-            result = run_single_group(specs, m,
-                                      mode=ExecutionMode.HARMONY,
-                                      config=cfg)
-            # harmony: allow[DET001] wall_seconds measures real runtime, never simulation state
-            best[engine] = min(best[engine], time.process_time() - t0)
-            results[engine] = result
-    return EngineComparison(
-        fast=EngineRun("fast", best["fast"], results["fast"]),
-        reference=EngineRun("reference", best["reference"],
-                            results["reference"]),
-        n_iterations=iterations, n_machines=m, n_jobs=n_jobs)
-
-
 def report(comparison: EngineComparison) -> str:
     lines = [
-        f"simulator engines, {comparison.n_jobs} job(s) x "
+        f"simulator engines, 1 job x "
         f"{comparison.n_iterations} iterations on "
         f"{comparison.n_machines} machines:",
         f"  fast:      {comparison.fast.wall_seconds:7.3f}s wall",
@@ -159,4 +108,3 @@ def report(comparison: EngineComparison) -> str:
 
 if __name__ == "__main__":  # pragma: no cover - manual entry point
     print(report(run()))
-    print(report(run_multi()))

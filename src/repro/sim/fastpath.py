@@ -3,45 +3,39 @@
 The per-event reference engine advances a job group one subtask
 completion at a time: every PULL/COMP/PUSH queues a wake-up on the
 event heap, pops it back off, and trampolines through the process
-machinery — six-plus heap operations per training step.  But every
-one of those wake-ups is predetermined the moment the subtask is
-submitted: the completion horizon is Eq. 1's closed form
-``work_remaining / rate`` — and for a contended multi-job group, the
-joint timeline is still piecewise closed-form between queue-length
-changes (the per-segment fixed point).
+machinery — six-plus heap operations per training step.  But for a
+group whose step timeline cannot interact with the rest of the cluster
+(one job, dedicated machines, masters whose per-iteration hooks are
+inert), every one of those wake-ups is predetermined the moment the
+subtask is submitted: the completion horizon is Eq. 1's closed form
+``work_remaining / rate``.
 
-:class:`GroupBatchEngine` exploits that in two lanes.  The **solo
-lane** (single-job group, inert hooks): while a batch is open the
-group's resources run in *autodrain* mode — :meth:`RateResource.drain`
-jumps the clock straight to each closed-form completion instead of
-round-tripping through the heap — and the group's **real** generator
-code executes unchanged under the warped clock.  A batch covers a
-whole job (every training iteration plus the initial load) and closes
-with a *park*: the clock is restored to the batch's opening time,
-in-flight background work is re-armed onto the real event queue, and
-the job's terminal hooks wait on a queue entry at the batch's end
-time — so the rest of the cluster observes the job finish exactly
-when, and in the same order as, the reference engine would deliver
-it.
+:class:`GroupBatchEngine` exploits that in one lane, the **solo
+lane**.  While a batch is open, the group's resources run in
+*autodrain* mode — :meth:`RateResource.serve_solo` and
+:meth:`RateResource.drain` jump the clock straight to each closed-form
+completion instead of round-tripping through the heap — and the
+group's **real** generator code executes unchanged under the warped
+clock.  Because the identical float operations run in the identical
+order, the fast path is bitwise equal to the reference engine by
+construction; the differential suite (``tests/test_sim_fastpath.py``)
+and the ``repro.check`` invariants pin it there.
 
-The **coordinated drive lane** (multi-job groups, and any master
-whose hooks are at least *replayable*, e.g. ``HarmonyMaster``): the
-group's resources are permanently parked — each wake becomes a
-``(when, seq)`` pair held on its resource instead of a heap entry —
-and one cancellable *driver* entry stands in for the group's earliest
-park.  When it fires, consecutive parked wakes are served at their
-true times (forward-only warps, hooks observe true state) until an
-external heap entry must interleave.  See
-:class:`GroupBatchEngine` for the lane-by-lane contract.
+A batch covers a whole job (every training iteration plus the initial
+load) and closes with a *park*: the clock is restored to the batch's
+opening time, in-flight background work is re-armed onto the real
+event queue, and the job's terminal hooks wait on a queue entry at the
+batch's end time — so the rest of the cluster observes the job finish
+exactly when, and in the same order as, the reference engine would
+deliver it.
 
-Because the identical float operations run in the identical order,
-both lanes are bitwise equal to the reference engine by construction;
-the differential suite (``tests/test_sim_fastpath.py``) and the
-``repro.check`` invariants pin it there.
+Every other group — multi-job groups, and any master whose hooks are
+not inert — runs the per-event path, whose rates come from the
+resource's per-queue-length memo (:meth:`RateResource._rates_for`).
 
 Hot per-batch state is accumulated in struct-of-arrays form
-(:class:`BatchStats`, :func:`ledger_view`) the way PR 5's
-``MetricsView`` vectorized the scheduler: plain numpy arrays, cheap to
+(:class:`BatchStats`, :func:`ledger_view`) the way the scheduler's
+``MetricsView`` is vectorized: plain numpy arrays, cheap to
 append to and comparable across engines with ``np.array_equal`` (exact
 — no tolerance).
 """
@@ -130,225 +124,52 @@ def cycles_view(cycles) -> np.ndarray:
 
 
 class GroupBatchEngine:
-    """Coordinates one group's batched execution.
+    """Coordinates one group's closed-form batches.
 
-    Created by :class:`~repro.core.group_runtime.GroupRuntime` when
-    ``config.engine == "fast"`` and the master's hooks declare either
-    ``iteration_hooks_inert`` (per-iteration callbacks never mutate the
-    group or read clock-keyed cluster state, so a warped clock is
-    safe) or ``iteration_hooks_replayable`` (callbacks may observe and
-    mutate — pause jobs, hill-climb alpha, record utilization — but
-    only through the simulator/group APIs, so they are correct as long
-    as they run at true simulated times).
-
-    Two lanes:
-
-    * **Solo lane** (inert hooks, single-job group): the whole job runs
-      under a warped clock inside one process step (``open`` /
-      ``serve_solo`` / ``close``), parked at the closed-form end time.
-    * **Coordinated drive lane** (any attached group, and the only
-      lane for multi-job groups): the group's resources are permanently
-      parked — every wake the reference engine would queue becomes a
-      ``(when, seq)`` pair held on the resource — and the engine keeps
-      exactly one real *driver* entry on the heap at the group's
-      earliest parked wake, queued at that wake's own tiebreak
-      sequence number.  When the driver fires, :meth:`_drive` serves
-      consecutive parked wakes (warping the clock **forward only**, to
-      each wake's true fire time) until the next external heap entry
-      precedes the next parked wake.  Because completion callbacks run
-      synchronously at true simulated times with true state, *any*
-      hook — including ``HarmonyMaster``'s profiler transitions,
-      pauses, and regroups — observes exactly what it would under the
-      reference engine: the drive lane is bitwise equal by
-      construction.  (This subsumes the record-at-warp/apply-at-park
-      replay idea: nothing is ever observed at a warped time, so
-      nothing needs replaying.)
+    Created by :class:`~repro.core.group_runtime.GroupRuntime` only
+    when ``config.engine == "fast"`` **and** the master's hooks declare
+    ``iteration_hooks_inert`` — the contract that per-iteration
+    callbacks never mutate the group, pause jobs, or read cluster state
+    keyed to the wall clock, so running them under a warped clock is
+    indistinguishable from running them live.
     """
 
-    __slots__ = ("group", "sim", "active", "solo_ok", "_t_open",
-                 "_iterations_at_open", "stats", "_resources",
-                 "_attached", "_driver_handle", "_driver_key",
-                 "_in_drive")
+    __slots__ = ("group", "sim", "active", "_t_open",
+                 "_iterations_at_open", "stats", "_resources")
 
-    def __init__(self, group: "GroupRuntime", solo_ok: bool = True):
+    def __init__(self, group: "GroupRuntime"):
         self.group = group
         self.sim = group.sim
         self.active = False
-        #: Whether the fused solo lane may be used (inert hooks only —
-        #: replayable hooks must observe iterations at true times).
-        self.solo_ok = solo_ok
         self._t_open = 0.0
         self._iterations_at_open = 0
         self.stats = BatchStats()
         self._resources = (group.cpu, group.net, group.disk)
-        self._attached = False
-        #: The single real heap entry backing the earliest parked wake.
-        self._driver_handle = None
-        #: ``(when, seq)`` the driver entry is queued at.
-        self._driver_key: tuple[float, int] | None = None
-        self._in_drive = False
 
-    # -- coordinated drive lane ----------------------------------------
-
-    def attach(self) -> bool:
-        """Enter coordinated mode: park the group's resources under
-        this engine and register for fast-path teardown.  Returns
-        False (leaving everything untouched) when the master switch is
-        already off."""
-        sim = self.sim
-        if not sim.fastpath_enabled:
-            return False
-        for resource in self._resources:
-            resource.set_wake_owner(self)
-        sim.register_batch_engine(self)
-        sim.fastpath_stats.groups_attached += 1
-        self._attached = True
-        return True
-
-    def deactivate(self) -> None:
-        """Leave coordinated mode (fast-path teardown).
-
-        Parked wakes are re-queued as real events at their exact
-        ``(when, seq)`` keys and the driver entry is cancelled, so the
-        run continues bit-for-bit on the reference path.
-        """
-        if not self._attached:
-            return
-        self._attached = False
-        self.sim.cancel(self._driver_handle)
-        self._driver_handle = None
-        self._driver_key = None
-        for resource in self._resources:
-            resource.rearm()
-        self.sim.fastpath_stats.engines_deactivated += 1
-
-    def park_changed(self, resource: "RateResource") -> None:
-        """Owner notification: a resource's parked wake was (re)set or
-        cleared.  Reconciles the driver entry, except while a drive or
-        solo batch is running (those reconcile once, on exit)."""
-        if self._in_drive or self.active:
-            return
-        self._sync_driver()
-
-    def _earliest_park(self) -> tuple[float, int] | None:
-        best = None
-        for resource in self._resources:
-            when = resource._pending_wake_at
-            if when is not None:
-                key = (when, resource._pending_wake_seq)
-                if best is None or key < best:
-                    best = key
-        return best
-
-    def _sync_driver(self) -> None:
-        """Keep exactly one live driver entry at the earliest parked
-        wake, queued at that wake's own sequence number."""
-        best = self._earliest_park()
-        handle = self._driver_handle
-        if (best == self._driver_key and handle is not None
-                and not handle.cancelled):
-            return
-        self.sim.cancel(handle)
-        self._driver_handle = None
-        self._driver_key = None
-        if best is None:
-            return
-        self._driver_handle = self.sim.call_at(
-            best[0], self._drive, cancellable=True, sequence=best[1])
-        self._driver_key = best
-
-    def _drive(self) -> None:
-        """Serve consecutive parked wakes at their true fire times.
-
-        Stops when no park remains, when the next park would cross the
-        current ``run()`` horizon, or when an external heap entry
-        precedes the next park in ``(when, seq)`` order — external
-        events (faults, arrivals, other groups' drivers, master
-        timers) interleave exactly as they would on the reference
-        heap.
-        """
-        self._driver_handle = None
-        self._driver_key = None
-        sim = self.sim
-        queue = sim._queue
-        resources = self._resources
-        # run_until only changes inside Simulator.run(), and the
-        # simulator is not reentrant — constant for the whole drive.
-        until = sim.run_until
-        # External-head cache: the heap only changes under a drive when
-        # a completion callback pushes a new entry (or peek pops a
-        # cancelled one), and both move ``len(queue)`` — steady-state
-        # wakes never touch the heap, so the head survives many steps.
-        head = None
-        head_len = -1
-        served = 0
-        self._in_drive = True
-        try:
-            while True:
-                best_when = None
-                best_seq = 0
-                best_resource = None
-                for resource in resources:
-                    when = resource._pending_wake_at
-                    if when is None:
-                        continue
-                    seq = resource._pending_wake_seq
-                    if (best_when is None or when < best_when
-                            or (when == best_when and seq < best_seq)):
-                        best_when = when
-                        best_seq = seq
-                        best_resource = resource
-                if best_when is None:
-                    break
-                if until is not None and best_when > until:
-                    break
-                if len(queue) != head_len:
-                    head = sim.peek_entry()
-                    head_len = len(queue)
-                if head is not None and (
-                        head[0] < best_when
-                        or (head[0] == best_when
-                            and head[1] < best_seq)):
-                    # A cancelled-in-place head (len unchanged) breaks
-                    # conservatively: the loop round-trips once through
-                    # step(), which discards it, and the driver refires.
-                    break
-                sim._now = best_when  # warp(), inlined for the hot loop
-                best_resource.serve_parked()
-                served += 1
-        finally:
-            self._in_drive = False
-        if served:
-            stats = sim.fastpath_stats
-            stats.drive_windows += 1
-            stats.wakes_served += served
-        self._sync_driver()
-
-    # -- solo-lane eligibility -----------------------------------------
+    # -- eligibility ---------------------------------------------------
 
     def open(self) -> bool:
-        """Open a solo batch if the group is isolated enough to warp.
+        """Open a batch if the group is isolated enough to skip ahead.
 
-        Eligible when the master switch is on, the hooks are inert
-        (``solo_ok``), exactly one job runs in the group (multi-job
-        groups contend through shared policies — they take the
-        coordinated drive lane instead), no foreign work is queued on
-        the group's resources, and the current ``run()`` call has no
-        ``until`` horizon (a solo batch would warp past it).
+        Eligible when the master switch is on, exactly one job runs in
+        the group (multi-job groups contend through shared policies, so
+        their timelines interleave), no foreign work is queued on the
+        group's resources, and the current ``run()`` call has no
+        ``until`` horizon (a batch would warp past it).
         """
         group = self.group
         sim = self.sim
-        if self.active or not self._attached or not sim.fastpath_enabled:
+        if self.active or not sim.fastpath_enabled:
             return False
-        if not self.solo_ok or group.n_jobs != 1:
-            return False
-        if sim.run_until is not None:
+        if group.n_jobs != 1 or sim.run_until is not None:
             return False
         if (group.cpu.queue_length or group.net.queue_length
                 or group.disk.queue_length):
             return False
         self._t_open = sim.now
         self._iterations_at_open = len(group.cycles)
+        for resource in self._resources:
+            resource.set_autodrain(True)
         self.active = True
         return True
 
@@ -372,25 +193,24 @@ class GroupBatchEngine:
     # -- teardown ------------------------------------------------------
 
     def close(self) -> "Event":
-        """End a solo batch; returns the *park* event to yield on.
+        """End the batch; returns the *park* event to yield on.
 
-        Restores the clock to the batch's opening time and parks the
-        generator until the batch's end time comes around for real.
-        In-flight background work stays parked on its resource (its
-        sequence number was drawn inside the window, before the park
-        event's — so an exact tie between a background completion and
-        the job's end still resolves in the reference engine's order);
-        the driver sync below makes its wake real.
+        Restores the clock to the batch's opening time, re-arms
+        in-flight background work onto the real event queue (before the
+        park, so an exact tie between a background completion and the
+        job's end resolves in the reference engine's order), and parks
+        the generator until the batch's end time comes around for real.
         """
         group = self.group
         sim = self.sim
         t_end = sim.now
         sim.warp(self._t_open)
+        for resource in self._resources:
+            resource.rearm()
         self.active = False
         self.stats.record(self._t_open, t_end,
                           len(group.cycles) - self._iterations_at_open)
         fp = sim.fastpath_stats
         fp.solo_batches += 1
         fp.solo_batched_seconds += t_end - self._t_open
-        self._sync_driver()
         return sim.at(t_end, name=f"{group.group_id}:batch-park")

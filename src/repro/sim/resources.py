@@ -166,22 +166,8 @@ class RateResource:
         #: :meth:`drain` to warp to.
         self._autodrain = False
         self._pending_wake_at: float | None = None
-        #: Tiebreak sequence number of the parked wake (coordinated
-        #: mode only), drawn at exactly the point the reference
-        #: engine's ``call_at`` would have drawn it.
-        self._pending_wake_seq: int | None = None
-        #: Coordinated fast-path owner (a ``GroupBatchEngine``).  When
-        #: set, parked wakes draw sequence numbers and the owner is
-        #: notified on every park change so it can keep one real
-        #: "driver" event at the group's earliest parked wake.
-        self._wake_owner = None
-        # Head-of-line service rate for a queue of one, memoized for
-        # serve_solo (policies are pure functions of the queue length).
-        self._solo_rate: float | None = None
-        # Per-queue-length (rates, level, active indices) memo for
-        # serve_parked.  Policies are pure functions of the queue
-        # length, so the cached tuples are float-identical to what
-        # current_rates() would rebuild at every wake.
+        # Per-queue-length (rates, level, active indices) memo: the one
+        # rate definition every path reads (see _rates_for).
         self._rates_cache: dict[
             int, tuple[tuple[float, ...], float, tuple[int, ...]]] = {}
         self._record_segments = record_segments
@@ -271,11 +257,8 @@ class RateResource:
         self.sim.cancel(self._wake_handle)
         self._wake_handle = None
         self._pending_wake_at = None
-        self._pending_wake_seq = None
         if self._level_gauge is not None:
             self._sample_level()
-        if self._wake_owner is not None:
-            self._wake_owner.park_changed(self)
         return dropped
 
     def audit(self) -> ResourceAudit:
@@ -294,11 +277,7 @@ class RateResource:
 
     def current_rates(self) -> list[float]:
         """Service rates per queued task, in queue order (0 = waiting)."""
-        rates = list(self._policy(len(self._tasks)))
-        result = []
-        for index in range(len(self._tasks)):
-            result.append(rates[index] if index < len(rates) else 0.0)
-        return result
+        return list(self._rates_for(len(self._tasks))[0])
 
     def close_segments(self) -> None:
         """Flush the in-progress utilization segment up to ``sim.now``.
@@ -316,57 +295,31 @@ class RateResource:
     def _advance(self) -> None:
         """Account for service delivered since the last update."""
         now = self.sim._now
-        dt = now - self._last_update
+        last_update = self._last_update
+        dt = now - last_update
         if dt <= _EPSILON:
             self._last_update = now
             return
-        if self._wake_owner is not None and self._level_gauge is None:
-            # Coordinated mode: replay the same arithmetic from the
-            # per-queue-length memo (identical values in identical
-            # order — see _rates_for) without rebuilding rate lists.
-            tasks = self._tasks
-            cached = self._rates_cache.get(len(tasks))
-            if cached is None:
-                cached = self._rates_for(len(tasks))
-            rates, level, active = cached
-            last_update = self._last_update
-            if level > _EPSILON:
-                self.busy_seconds += level * dt
-                if self._record_segments:
-                    self._append_segment(last_update, now, level)
-            served_by_tag = self.served_by_tag
-            for index in active:
-                task = tasks[index]
-                if task.started_at is None:
-                    task.started_at = last_update
-                delivered = min(task.work_remaining, rates[index] * dt)
-                task.work_remaining -= delivered
-                task.served += delivered
-                self.work_served += delivered
-                tag = task.tag
-                if tag is not None:
-                    served_by_tag[tag] = (
-                        served_by_tag.get(tag, 0.0) + delivered)
-            self._last_update = now
-            return
-        rates = self.current_rates()
-        level = min(1.0, sum(rates))
+        tasks = self._tasks
+        n = len(tasks)
+        rates, level, active = (self._rates_cache.get(n)
+                                or self._rates_for(n))
         if level > _EPSILON:
             self.busy_seconds += level * dt
             if self._record_segments:
-                self._append_segment(self._last_update, now, level)
-        for task, rate in zip(self._tasks, rates, strict=True):
-            if rate <= _EPSILON:
-                continue
+                self._append_segment(last_update, now, level)
+        served_by_tag = self.served_by_tag
+        for index in active:
+            task = tasks[index]
             if task.started_at is None:
-                task.started_at = self._last_update
-            delivered = min(task.work_remaining, rate * dt)
+                task.started_at = last_update
+            delivered = min(task.work_remaining, rates[index] * dt)
             task.work_remaining -= delivered
             task.served += delivered
             self.work_served += delivered
-            if task.tag is not None:
-                self.served_by_tag[task.tag] = (
-                    self.served_by_tag.get(task.tag, 0.0) + delivered)
+            tag = task.tag
+            if tag is not None:
+                served_by_tag[tag] = served_by_tag.get(tag, 0.0) + delivered
         self._last_update = now
 
     def _append_segment(self, start: float, end: float, level: float) -> None:
@@ -394,7 +347,6 @@ class RateResource:
             self._wake_handle.cancelled = True  # sim.cancel()
             self._wake_handle = None
         self._pending_wake_at = None
-        self._pending_wake_seq = None
         self._wake_generation += 1
         generation = self._wake_generation
         # Pop any tasks that are already done (zero-work or finished
@@ -402,50 +354,13 @@ class RateResource:
         self._pop_finished()
         if self._level_gauge is not None:
             self._sample_level()
-        owner = self._wake_owner
         if not self._tasks:
-            if owner is not None and not (owner._in_drive
-                                          or owner.active):
-                owner._sync_driver()  # park_changed(), inlined
             return
-        if owner is not None and self._level_gauge is None:
-            # Coordinated mode: the horizon scan over the memoized
-            # active set replays _next_horizon's arithmetic exactly.
-            tasks = self._tasks
-            cached = self._rates_cache.get(len(tasks))
-            if cached is None:
-                cached = self._rates_for(len(tasks))
-            rates, _level, active = cached
-            horizon = None
-            for index in active:
-                eta = tasks[index].work_remaining / rates[index]
-                if horizon is None or eta < horizon:
-                    horizon = eta
-        else:
-            horizon = self._next_horizon()
+        horizon = self._next_horizon()
         if horizon is None:
-            # everything is waiting (policy starves the queue)
-            if owner is not None:
-                owner.park_changed(self)
-            return
+            return  # everything is waiting (policy starves the queue)
         when = self.sim._now + max(horizon, 0.0)
         if self._autodrain:
-            if owner is not None:
-                # Coordinated lane: mirror the event-driven entry
-                # exactly.  _pop_finished may have resumed a process
-                # whose submit() ran a nested _reschedule — that nested
-                # park is the live one (the entry this frame would have
-                # queued is generation-dead on arrival in the reference
-                # engine), so a stale frame must not overwrite it.  The
-                # park draws its tiebreak sequence number at the same
-                # point call_at would have.
-                if self._wake_generation != generation:
-                    return
-                self._pending_wake_at = when
-                self._pending_wake_seq = next(self.sim._sequence)
-                if not (owner._in_drive or owner.active):
-                    owner._sync_driver()  # park_changed(), inlined
-                return
             # Solo lane: the owning batch will drain() synchronously.
             # Park the exact fire time the event-driven engine would
             # have used, so the warped timeline stays bitwise equal.
@@ -457,12 +372,13 @@ class RateResource:
     def _next_horizon(self) -> float | None:
         """Seconds until the earliest queued completion (None if
         nothing is receiving service)."""
-        rates = self.current_rates()
+        tasks = self._tasks
+        n = len(tasks)
+        rates, _level, active = (self._rates_cache.get(n)
+                                 or self._rates_for(n))
         horizon = None
-        for task, rate in zip(self._tasks, rates, strict=True):
-            if rate <= _EPSILON:
-                continue
-            eta = task.work_remaining / rate
+        for index in active:
+            eta = tasks[index].work_remaining / rates[index]
             if horizon is None or eta < horizon:
                 horizon = eta
         return horizon
@@ -511,10 +427,9 @@ class RateResource:
         equivalence).  Falls back to the generic pair whenever any
         precondition is off.
         """
-        head_rate = self._solo_rate
-        if head_rate is None:
-            rates = self._policy(1)
-            head_rate = self._solo_rate = rates[0] if rates else 0.0
+        rates, level, _active = (self._rates_cache.get(1)
+                                 or self._rates_for(1))
+        head_rate = rates[0]
         if (not self._autodrain or self._tasks or work <= _EPSILON
                 or head_rate <= _EPSILON
                 or self._level_gauge is not None):
@@ -542,7 +457,6 @@ class RateResource:
             when = last + max(remaining / head_rate, 0.0)
             dt = when - last
             if dt > _EPSILON:
-                level = min(1.0, 0 + head_rate)
                 if level > _EPSILON:
                     self.busy_seconds += level * dt
                     if record_segments:
@@ -585,174 +499,43 @@ class RateResource:
         """Leave fast-path mode, re-queueing the parked wake (if any).
 
         Called when a solo batch closes with a task still in flight (a
-        background reload crossing the batch boundary) and when a
-        coordinated engine deactivates: the wake returns to the event
-        queue at the exact parked time — and, in coordinated mode, at
-        the exact tiebreak sequence number it drew when it parked, so
-        same-instant races resolve in the reference order.
+        background reload crossing the batch boundary): the wake returns
+        to the event queue at the exact parked time.
         """
         self._autodrain = False
-        self._wake_owner = None
         when, self._pending_wake_at = self._pending_wake_at, None
-        seq, self._pending_wake_seq = self._pending_wake_seq, None
         if when is None or not self._tasks:
             return
         generation = self._wake_generation
         self._wake_handle = self.sim.call_at(
-            when, lambda: self._on_wake(generation), cancellable=True,
-            sequence=seq)
-
-    # -- coordinated fast path (multi-job groups) ----------------------
-
-    def set_wake_owner(self, owner) -> None:
-        """Enter coordinated fast-path mode under ``owner``.
-
-        The resource stays permanently autodrained: every wake the
-        reference engine would queue is parked as ``(when, seq)`` and
-        the owner is notified so it can maintain one real driver event
-        at the group's earliest parked wake.  :meth:`rearm` leaves this
-        mode.
-        """
-        self._wake_owner = owner
-        self._autodrain = True
-
-    def serve_parked(self) -> None:
-        """Serve one parked wake — the coordinated drive's hot step.
-
-        The caller has warped the clock to the parked fire time.
-        Semantically identical to the reference engine's ``_on_wake``
-        (``_advance`` + ``_reschedule``), but fused: the per-position
-        rates, capacity level, and active-index set are memoized per
-        queue length (the "per-segment fixed point" — rates depend
-        only on the queue length, which is constant between structural
-        changes), and no cancellation/queue traffic is paid.  Float
-        operations are replayed in the reference order, so the result
-        is bitwise equal.
-        """
-        if self._level_gauge is not None:
-            # Tracing samples the level at every rate change; take the
-            # generic path so gauge points land identically.
-            self._advance()
-            self._reschedule()
-            return
-        sim = self.sim
-        now = sim._now
-        # _advance(), inlined (the memoized coordinated branch): this
-        # is the single hottest call site in a drive, one per wake.
-        dt = now - self._last_update
-        if dt <= _EPSILON:
-            self._last_update = now
-        else:
-            tasks = self._tasks
-            cached = self._rates_cache.get(len(tasks))
-            if cached is None:
-                cached = self._rates_for(len(tasks))
-            rates, level, active = cached
-            last_update = self._last_update
-            if level > _EPSILON:
-                self.busy_seconds += level * dt
-                if self._record_segments:
-                    # _append_segment inlined (dt > 0 already rules out
-                    # the zero-duration guard).
-                    segments = self.segments
-                    if len(segments) > self._segment_seal:
-                        prev = segments[-1]
-                        if (abs(prev.end - last_update) <= _EPSILON
-                                and abs(prev.level - level) <= 1e-6):
-                            prev.end = now
-                        else:
-                            segments.append(
-                                BusySegment(last_update, now, level))
-                    else:
-                        segments.append(
-                            BusySegment(last_update, now, level))
-            served_by_tag = self.served_by_tag
-            for index in active:
-                task = tasks[index]
-                if task.started_at is None:
-                    task.started_at = last_update
-                delivered = min(task.work_remaining, rates[index] * dt)
-                task.work_remaining -= delivered
-                task.served += delivered
-                self.work_served += delivered
-                tag = task.tag
-                if tag is not None:
-                    served_by_tag[tag] = (
-                        served_by_tag.get(tag, 0.0) + delivered)
-            self._last_update = now
-        # _reschedule(), fused.  No wake handle to cancel and no gauge
-        # to sample in this mode.
-        self._pending_wake_at = None
-        self._pending_wake_seq = None
-        self._wake_generation += 1
-        generation = self._wake_generation
-        # _pop_finished(), single-completion case inlined: a wake fires
-        # at the minimum completion horizon, so almost every serve pops
-        # exactly one task.  Completion callbacks may resume processes
-        # that submit() back into this queue.
-        tasks = self._tasks
-        first = -1
-        for index, task in enumerate(tasks):
-            if task.work_remaining <= _EPSILON:
-                first = index
-                break
-        if first >= 0:
-            for index in range(first + 1, len(tasks)):
-                if tasks[index].work_remaining <= _EPSILON:
-                    self._pop_finished()  # simultaneous completions
-                    break
-            else:
-                self._complete(tasks.pop(first))
-        owner = self._wake_owner
-        if owner is None:
-            # The engine deactivated while a completion callback ran
-            # (fast-path teardown mid-serve): fall back to the generic
-            # rescheduling pass, which queues a real wake.
-            self._reschedule()
-            return
-        # No owner notification on any exit: serve_parked only runs
-        # inside the owner's _drive loop (which rescans every park on
-        # each step and reconciles the driver once, on exit), so
-        # park_changed would be suppressed anyway.
-        tasks = self._tasks
-        if not tasks:
-            return
-        cached = self._rates_cache.get(len(tasks))
-        if cached is None:
-            cached = self._rates_for(len(tasks))
-        rates, _level, active = cached
-        horizon = None
-        for index in active:
-            eta = tasks[index].work_remaining / rates[index]
-            if horizon is None or eta < horizon:
-                horizon = eta
-        if horizon is None:
-            return
-        if self._wake_generation != generation:
-            return  # superseded by a nested reschedule in _pop_finished
-        self._pending_wake_at = now + max(horizon, 0.0)
-        self._pending_wake_seq = next(sim._sequence)  # draw_sequence()
+            when, lambda: self._on_wake(generation), cancellable=True)
 
     def _rates_for(
             self, n: int
     ) -> tuple[tuple[float, ...], float, tuple[int, ...]]:
-        """Memoize (padded rates, capacity level, active indices) for a
-        queue of length ``n``.  ``level`` reproduces ``min(1.0,
-        sum(rates))`` over the padded list and ``active`` the indices
-        ``_advance``/``_next_horizon`` would not skip, so the fused
-        path replays identical arithmetic."""
-        base = self._policy(n)
-        nb = len(base)
-        rates = tuple(base[i] if i < nb else 0.0 for i in range(n))
-        level = min(1.0, sum(rates))
-        active = tuple(i for i, r in enumerate(rates) if r > _EPSILON)
-        entry = (rates, level, active)
-        self._rates_cache[n] = entry
+        """(padded rates, capacity level, active indices) for a queue of
+        length ``n`` — the resource's single rate definition.
+
+        ``rates`` pads the policy's output with zeros to ``n`` entries,
+        ``level`` is ``min(1.0, sum(rates))`` and ``active`` holds the
+        indices whose rate exceeds ``_EPSILON``.  Policies are pure
+        functions of the queue length, so the memoized tuples are
+        float-identical to rebuilding them at every wake; the hot paths
+        read ``_rates_cache`` first and call this only on a miss.
+        """
+        entry = self._rates_cache.get(n)
+        if entry is None:
+            base = self._policy(n)
+            nb = len(base)
+            rates = tuple(base[i] if i < nb else 0.0 for i in range(n))
+            active = tuple(i for i, r in enumerate(rates) if r > _EPSILON)
+            entry = (rates, min(1.0, sum(rates)), active)
+            self._rates_cache[n] = entry
         return entry
 
     def _sample_level(self) -> None:
         """Record the delivered service level going forward from now."""
-        level = min(1.0, sum(self.current_rates())) if self._tasks else 0.0
+        level = self._rates_for(len(self._tasks))[1] if self._tasks else 0.0
         if level != self._last_level:
             self._last_level = level
             self._level_gauge.set(level)

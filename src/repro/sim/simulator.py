@@ -37,15 +37,11 @@ class ScheduledCall:
     in closed form can never drag the loop backwards in time.
     """
 
-    __slots__ = ("when", "seq", "cancelled")
+    __slots__ = ("when", "cancelled")
 
-    def __init__(self, when: float, seq: int = -1):
+    def __init__(self, when: float):
         #: Absolute fire time the entry was queued at (after clamping).
         self.when = when
-        #: Sequence number the entry was queued with — the same-time
-        #: tiebreak position a coordinated fast-path drive must respect
-        #: when it races this entry against a parked wake.
-        self.seq = seq
         self.cancelled = False
 
 
@@ -54,8 +50,8 @@ class FastpathStats:
     """Engagement counters for the batched fast path.
 
     Every ``Simulator`` owns one (``sim.fastpath_stats``).  Tests use
-    these to assert that a scenario actually took the batched lane —
-    an equality test alone would pass even if the fast path silently
+    these to assert that a scenario actually took the solo lane — an
+    equality test alone would pass even if the fast path silently
     never engaged.  All counters stay zero under
     ``engine="reference"``.
     """
@@ -64,21 +60,16 @@ class FastpathStats:
     solo_batches: int = 0
     #: Simulated seconds covered by solo-lane batches.
     solo_batched_seconds: float = 0.0
-    #: Coordinated drive windows (one per driver-entry pop; a window
-    #: serves every consecutive parked wake that precedes the next
-    #: external event).
+    #: Always zero.  They counted the multi-job drive lane, which is
+    #: gone (multi-job groups run the per-event path); kept because
+    #: benchmark tooling still reads them.
     drive_windows: int = 0
-    #: Parked wakes served by coordinated drive windows.
     wakes_served: int = 0
-    #: Group engines that attached in coordinated (parked) mode.
-    groups_attached: int = 0
-    #: Engines torn down by ``fastpath_enabled = False``.
-    engines_deactivated: int = 0
 
     @property
     def engaged(self) -> bool:
-        """Whether any batched lane (solo or coordinated) ever ran."""
-        return self.solo_batches > 0 or self.wakes_served > 0
+        """Whether the solo lane ever ran."""
+        return self.solo_batches > 0
 
 
 class Simulator:
@@ -87,25 +78,22 @@ class Simulator:
     def __init__(self, start_time: float = 0.0, tracer=None):
         self._now = float(start_time)
         self._queue: list[
-            tuple[float, int, int, Callable[[], None],
+            tuple[float, int, Callable[[], None],
                   ScheduledCall | None]] = []
         self._sequence = itertools.count()
-        self._insertions = itertools.count()
         self._running = False
-        self._fastpath_enabled = True
-        #: Coordinated group engines currently parked on this simulator
-        #: (:class:`repro.sim.fastpath.GroupBatchEngine`).  Clearing
-        #: :attr:`fastpath_enabled` deactivates them all — parked wakes
-        #: are re-queued as ordinary entries so the run can continue on
-        #: the reference path.
-        self._batch_engines: list[Any] = []
+        #: Master switch for the batched fast path
+        #: (:mod:`repro.sim.fastpath`).  Cleared for truncated runs
+        #: (by :meth:`run` under ``max_events``, by the runtimes under
+        #: ``max_sim_seconds`` too) or to force reference semantics.
+        self.fastpath_enabled = True
         #: Engagement counters for the batched fast path; all zero
         #: under ``engine="reference"``.
         self.fastpath_stats = FastpathStats()
         #: Horizon of the current :meth:`run` call (its ``until``
-        #: argument), or ``None``.  Coordinated drives never serve a
-        #: parked wake past this, so an ``until``-truncated run stops
-        #: at exactly the same state as the reference engine.
+        #: argument), or ``None``.  A solo batch refuses to open under
+        #: a horizon it could warp past, so an ``until``-truncated run
+        #: stops at exactly the same state as the reference engine.
         self.run_until: float | None = None
         #: The observability bus every kernel client reads its tracer
         #: from (:mod:`repro.trace`).  Defaults to the no-op tracer;
@@ -117,72 +105,24 @@ class Simulator:
         """Current simulation time, in seconds."""
         return self._now
 
-    @property
-    def fastpath_enabled(self) -> bool:
-        """Master switch for the batched fast path.
-
-        Runtimes clear it when the run is truncated by ``max_events``
-        (callback counts differ between engines) or to force reference
-        semantics.  Setting it to ``False`` deactivates every attached
-        coordinated engine: parked wake times are re-queued as real
-        events (preserving their tiebreak sequence numbers) and driver
-        entries are cancelled, so the run continues bit-for-bit on the
-        reference path.
-        """
-        return self._fastpath_enabled
-
-    @fastpath_enabled.setter
-    def fastpath_enabled(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        was = self._fastpath_enabled
-        self._fastpath_enabled = enabled
-        if was and not enabled:
-            engines, self._batch_engines = self._batch_engines, []
-            for engine in engines:
-                engine.deactivate()
-
-    def register_batch_engine(self, engine: Any) -> None:
-        """Track a coordinated engine for fast-path teardown."""
-        self._batch_engines.append(engine)
-
     # -- scheduling primitives ----------------------------------------
 
     def call_at(self, when: float, callback: Callable[[], None],
-                cancellable: bool = False,
-                sequence: int | None = None) -> ScheduledCall | None:
+                cancellable: bool = False) -> ScheduledCall | None:
         """Run ``callback()`` at absolute time ``when``.
 
         With ``cancellable=True`` returns a :class:`ScheduledCall`
         accepted by :meth:`cancel`; the default returns ``None`` and
-        pays nothing for the ability.  ``sequence`` re-queues an entry
-        at a previously drawn tiebreak position instead of drawing a
-        fresh one — the fast path uses it so a parked wake keeps the
-        exact same-time ordering it would have had as a live entry.
+        pays nothing for the ability.
         """
         if when < self._now - 1e-9:
             raise SimulationError(
                 f"cannot schedule at {when} before now={self._now}")
         when = max(when, self._now)
-        seq = next(self._sequence) if sequence is None else sequence
-        handle = ScheduledCall(when, seq) if cancellable else None
-        # The third field keeps heap entries totally ordered even when
-        # two share (when, seq) — a re-queued parked wake can coexist
-        # with the cancelled driver entry that carried its sequence
-        # number — without ever comparing callbacks.
+        handle = ScheduledCall(when) if cancellable else None
         heapq.heappush(self._queue,
-                       (when, seq, next(self._insertions), callback,
-                        handle))
+                       (when, next(self._sequence), callback, handle))
         return handle
-
-    def draw_sequence(self) -> int:
-        """Draw the next tiebreak sequence number without queueing.
-
-        Parked wakes call this at exactly the point the reference
-        engine's ``call_at`` would, so an eventual re-queue (or a race
-        against a live entry at the same timestamp) resolves in the
-        reference order.
-        """
-        return next(self._sequence)
 
     def call_in(self, delay: float, callback: Callable[[], None],
                 cancellable: bool = False) -> ScheduledCall | None:
@@ -256,7 +196,7 @@ class Simulator:
         Cancelled entries are discarded without advancing the clock.
         """
         while self._queue:
-            when, _seq, _ins, callback, handle = heapq.heappop(self._queue)
+            when, _seq, callback, handle = heapq.heappop(self._queue)
             if handle is not None and handle.cancelled:
                 continue
             if when < self._now - 1e-9:
@@ -275,10 +215,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
-        if max_events is not None and self._fastpath_enabled:
-            # One coordinated drive window executes many reference
-            # callbacks, so an event-count budget cannot be replicated
-            # by the batched lane — tear it down before counting.
+        if max_events is not None:
+            # One solo batch executes many reference callbacks, so an
+            # event-count budget cannot be replicated by the batched
+            # lane — switch it off before counting.
             self.fastpath_enabled = False
         self._running = True
         self.run_until = until
@@ -307,25 +247,13 @@ class Simulator:
 
         Cancelled entries at the head are dropped on the way.
         """
-        entry = self.peek_entry()
-        return None if entry is None else entry[0]
-
-    def peek_entry(self) -> tuple[float, int] | None:
-        """``(when, seq)`` of the next live callback, or ``None``.
-
-        Cancelled entries at the head are dropped on the way.  The
-        coordinated fast path compares this key against its earliest
-        parked wake to decide whether an external event must run
-        before the next batched step.
-        """
         queue = self._queue
         while queue:
-            head = queue[0]
-            handle = head[4]
+            handle = queue[0][3]
             if handle is not None and handle.cancelled:
                 heapq.heappop(queue)
                 continue
-            return (head[0], head[1])
+            return queue[0][0]
         return None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -166,19 +166,20 @@ class TestGroupDifferential:
 
     def test_multi_job_groups_skip_solo_lane(self):
         """Contending jobs interleave; the solo batch must refuse to
-        open — the coordinated drive lane carries them instead."""
+        open — the per-event path carries them instead."""
         sim, group, _ = run_multi_group(multi_specs(2),
                                         ExecutionMode.HARMONY, "fast",
                                         DEFAULT_SIM_CONFIG, m=4)
         assert group._engine.stats.n_batches == 0
         assert sim.fastpath_stats.solo_batches == 0
-        assert sim.fastpath_stats.wakes_served > 0
+        assert not sim.fastpath_stats.engaged
 
 
 class TestMultiJobDifferential:
-    """Fast engine vs reference engine on multi-job groups: the
-    coordinated drive lane serves parked wakes at true times, so every
-    co-location mode must come out bitwise identical."""
+    """Fast engine vs reference engine on multi-job groups: under the
+    fast engine they run the per-event path, whose rates come from the
+    per-queue-length memo, so every co-location mode must come out
+    bitwise identical."""
 
     @pytest.mark.parametrize("mode", [ExecutionMode.HARMONY,
                                       ExecutionMode.NAIVE])
@@ -224,21 +225,6 @@ class TestMultiJobDifferential:
             checker.check_audit(group.audit(), violations)
             assert violations == [], engine
 
-    def test_drive_lane_engages_for_multi_job_groups(self):
-        """Guard against the coordinated lane silently never engaging:
-        the whole point of the engine is that multi-job groups batch."""
-        sim, group, _ = run_multi_group(multi_specs(3),
-                                        ExecutionMode.HARMONY, "fast",
-                                        DEFAULT_SIM_CONFIG)
-        stats = sim.fastpath_stats
-        assert stats.engaged
-        assert stats.groups_attached == 1
-        assert stats.drive_windows >= 1
-        assert stats.wakes_served > 0
-        # Multi-job groups never open the fused solo lane.
-        assert stats.solo_batches == 0
-        assert group._engine is not None
-
     def test_reference_engine_stats_stay_zero(self):
         sim, group, _ = run_multi_group(multi_specs(3),
                                         ExecutionMode.HARMONY,
@@ -246,15 +232,13 @@ class TestMultiJobDifferential:
                                         DEFAULT_SIM_CONFIG)
         stats = sim.fastpath_stats
         assert not stats.engaged
-        assert stats.groups_attached == 0
-        assert stats.drive_windows == 0
-        assert stats.wakes_served == 0
+        assert stats.solo_batches == 0
         assert group._engine is None
 
     def test_undeclared_hooks_fall_back_to_reference(self):
-        """Hooks that declare neither ``iteration_hooks_inert`` nor
-        ``iteration_hooks_replayable`` must keep the group off the
-        fast path entirely — and the run still matches bitwise."""
+        """Hooks that do not declare ``iteration_hooks_inert`` must
+        keep the group off the fast path entirely — and the run still
+        matches bitwise."""
         class OpaqueHooks(_CollectingHooks):
             iteration_hooks_inert = False
 
@@ -273,7 +257,7 @@ class TestMultiJobDifferential:
 class TestMasterDifferential:
     """Fig. 10-style full ``HarmonyRuntime`` runs — profiler
     transitions, pauses, regroups, migrations, faults — must be
-    bitwise identical, with the drive lane engaged."""
+    bitwise identical under either engine."""
 
     @pytest.mark.parametrize("failure_times", [[], [150.0, 900.0]],
                              ids=["no-faults", "faults"])
@@ -304,20 +288,19 @@ class TestMasterDifferential:
         assert fast.stall_seconds == ref.stall_seconds
         assert (fast.migration_overhead_seconds
                 == ref.migration_overhead_seconds)
-        # HarmonyMaster's hooks are replayable, so the drive lane must
-        # actually carry the run — not silently fall back.
-        assert fast_stats.engaged
-        assert fast_stats.drive_windows >= 1
-        assert fast_stats.wakes_served > 0
-        assert fast_stats.groups_attached >= 1
+        # HarmonyMaster's hooks are not inert, so its groups never
+        # take the solo lane: both engines run the per-event path.
+        assert not fast_stats.engaged
         assert not ref_stats.engaged
 
 
 class TestTruncation:
-    """Truncated runs cannot use the batched lane; tearing it down
-    mid-run must requeue parked wakes bit-for-bit."""
+    """Truncated runs cannot use the solo lane: a batch would warp past
+    an ``until`` horizon or execute many reference callbacks against a
+    ``max_events`` budget.  Truncated fast runs must stop at exactly
+    the reference state."""
 
-    def _fresh(self, engine):
+    def _fresh(self, engine, n_jobs=3):
         sim = Simulator()
         cfg = DEFAULT_SIM_CONFIG.with_engine(engine)
         hooks = _CollectingHooks()
@@ -325,7 +308,7 @@ class TestTruncation:
                              ExecutionMode.HARMONY,
                              CostModel(cfg.machine), cfg,
                              RandomStreams(cfg.seed), hooks)
-        for spec in multi_specs(3):
+        for spec in multi_specs(n_jobs):
             job = Job(spec)
             job.state = JobState.RUNNING
             group.add_job(job)
@@ -336,72 +319,52 @@ class TestTruncation:
             resource.close_segments()
         return sim, group, hooks
 
-    def _reference_run(self):
-        sim, group, hooks = self._fresh("reference")
+    def _reference_run(self, n_jobs=3):
+        sim, group, hooks = self._fresh("reference", n_jobs)
         sim.run()
         return self._finish(sim, group, hooks)
 
     def test_max_events_run_tears_down_and_stays_equal(self):
         """``max_events`` budgets reference callbacks; the fast path is
-        deactivated up front and the run continues bit-for-bit."""
-        sim, group, hooks = self._fresh("fast")
-        sim.run(max_events=40)
-        assert sim.fastpath_enabled is False
-        assert sim.fastpath_stats.engines_deactivated == 1
-        for resource in (group.cpu, group.net, group.disk):
-            assert resource._pending_wake_at is None
-        assert group._engine._driver_handle is None
-        sim.run()  # finish on the reference path
-        assert_bitwise_equal(self._finish(sim, group, hooks),
-                             self._reference_run())
+        switched off up front and the run continues bit-for-bit."""
+        for n_jobs in (1, 3):
+            sim, group, hooks = self._fresh("fast", n_jobs)
+            sim.run(max_events=40)
+            assert sim.fastpath_enabled is False
+            sim.run()  # finish on the reference path
+            assert sim.fastpath_stats.solo_batches == 0
+            assert_bitwise_equal(self._finish(sim, group, hooks),
+                                 self._reference_run(n_jobs))
 
-    def test_mid_run_disable_requeues_parked_wakes(self):
-        """Clearing ``fastpath_enabled`` mid-run (between events, with
-        wakes parked under the drive lane) requeues them at their
-        exact ``(when, seq)`` keys: the rest of the run is bitwise
-        reference."""
-        ref = self._reference_run()
-        t_mid = ref[0].now / 3.0
-        sim, group, hooks = self._fresh("fast")
-        sim.run(until=t_mid)
-        assert sim.now == t_mid
-        # Mid-run the group still has parked work under the engine.
-        assert any(r._pending_wake_at is not None
-                   for r in (group.cpu, group.net, group.disk))
-        sim.fastpath_enabled = False
-        for resource in (group.cpu, group.net, group.disk):
-            assert resource._pending_wake_at is None
-        assert group._engine._driver_handle is None
-        sim.run()
-        assert_bitwise_equal(self._finish(sim, group, hooks), ref)
+    def test_until_truncated_run_stops_on_horizon(self):
+        """A solo batch never opens under an ``until`` horizon — the
+        truncated fast run stops at exactly the reference state."""
+        for n_jobs in (1, 3):
+            ref_sim, ref_group, _ = self._fresh("reference", n_jobs)
+            ref_sim.run(until=120.0)
+            sim, group, _ = self._fresh("fast", n_jobs)
+            sim.run(until=120.0)
+            assert sim.now == ref_sim.now == 120.0
+            assert sim.fastpath_stats.solo_batches == 0
+            assert np.array_equal(cycles_view(group.cycles),
+                                  cycles_view(ref_group.cycles))
+            for fast_res, ref_res in ((group.cpu, ref_group.cpu),
+                                      (group.net, ref_group.net),
+                                      (group.disk, ref_group.disk)):
+                assert np.array_equal(ledger_view(fast_res),
+                                      ledger_view(ref_res))
 
-    def test_until_truncated_drive_stops_on_horizon(self):
-        """A drive window never serves a parked wake past ``until`` —
-        the truncated fast run stops at exactly the reference state."""
-        ref_sim, ref_group, _ = self._fresh("reference")
-        ref_sim.run(until=120.0)
-        sim, group, _ = self._fresh("fast")
-        sim.run(until=120.0)
-        assert sim.now == ref_sim.now == 120.0
-        assert np.array_equal(cycles_view(group.cycles),
-                              cycles_view(ref_group.cycles))
-        for fast_res, ref_res in ((group.cpu, ref_group.cpu),
-                                  (group.net, ref_group.net),
-                                  (group.disk, ref_group.disk)):
-            assert np.array_equal(ledger_view(fast_res),
-                                  ledger_view(ref_res))
-
-    def test_crash_with_parked_wakes_cleans_up(self):
-        """A group crash mid-run (between events) purges the parked
-        wakes and retracts the driver entry — no stale wake may fire
-        into the dead group."""
+    def test_crash_mid_run_cleans_up(self):
+        """A group crash mid-run (between events) purges the queued
+        work and retracts its wakes — no stale wake may fire into the
+        dead group."""
         sim, group, hooks = self._fresh("fast")
         sim.run(until=60.0)
         victims = group.crash()
         assert victims
         for resource in (group.cpu, group.net, group.disk):
-            assert resource._pending_wake_at is None
-        assert group._engine._driver_handle is None
+            assert resource.queue_length == 0
+            assert resource._wake_handle is None
         sim.run()  # drains without touching the dead group
         assert hooks.finished == []
 

@@ -282,3 +282,63 @@ class TestTracedRuns:
         out = []
         InvariantChecker().check_trace(tracer, horizon, out)
         assert out == []
+
+
+class TestTracingLeavesOutcomesEqual:
+    """Tracing only observes: a traced run must come out bitwise equal
+    to the untraced one, on either engine.  Traced resources sample
+    their level gauge on every reschedule and leave the fused solo
+    lane for its generic form, so equality is not automatic."""
+
+    @staticmethod
+    def _workload():
+        from dataclasses import replace
+
+        pool = WorkloadGenerator(2021).base_workload(
+            hyper_params_per_pair=1)
+        return [replace(spec, iterations=5, submit_time=float(30 * i))
+                for i, spec in enumerate(pool[:6])]
+
+    @staticmethod
+    def _harmony(config):
+        return HarmonyRuntime(20, TestTracingLeavesOutcomesEqual
+                              ._workload(), config=config)
+
+    @staticmethod
+    def _naive(config):
+        from repro.baselines import NaiveRuntime
+
+        return NaiveRuntime(20, TestTracingLeavesOutcomesEqual
+                            ._workload(), config=config, group_size=3,
+                            shuffle_seed=1)
+
+    @staticmethod
+    def _observables(runtime):
+        from repro.sim.fastpath import cycles_view, ledger_view
+
+        result = runtime.run()
+        master = runtime.master
+        audits = list(master.group_audits)
+        audits.extend(g.audit() for g in master.groups.values())
+        ledgers = [(audit.group_id, ledger_view(res).tolist())
+                   for audit in audits
+                   for res in (audit.cpu, audit.net, audit.disk)]
+        jcts = {job_id: outcome.jct
+                for job_id, outcome in result.outcomes.items()}
+        return result, (result.makespan, jcts,
+                        cycles_view(result._all_cycles).tolist(),
+                        ledgers)
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("make", ["_harmony", "_naive"])
+    def test_traced_run_bitwise_equal(self, make, engine):
+        factory = getattr(self, make)
+        config = SimConfig(seed=5).with_engine(engine)
+        plain, plain_obs = self._observables(factory(config))
+        traced, traced_obs = self._observables(
+            factory(config.with_tracing()))
+        assert plain.trace is None
+        assert traced.trace is not None
+        assert traced.trace.spans
+        assert plain_obs[0] > 0.0
+        assert traced_obs == plain_obs
