@@ -23,9 +23,12 @@ def test_scheduler_churn_fast_path(once, benchmark):
 
     fast, reference = comparison.fast, comparison.reference
 
-    # The incremental machinery actually engaged.
+    # The incremental machinery actually engaged.  Warm-started
+    # grouping orders are not part of it here: this stream's pools
+    # (60-220 jobs) stay under _WARM_ORDER_MIN_JOBS, where a fresh
+    # argsort is cheaper than the merge, so they must stay off.
     assert fast.cache_hits > 0
-    assert fast.warm_start_reuses > 0
+    assert fast.warm_start_reuses == 0
     assert fast.n_patched > 0
     assert reference.cache_hits == 0
     assert reference.warm_start_reuses == 0

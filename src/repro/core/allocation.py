@@ -13,10 +13,11 @@ model-spill fallback covers the rest, but a group that cannot hold its
 models has no valid placement).
 
 The allocator is the hottest loop of the planning stack (one grant per
-machine, hundreds of machines per ``_plan_for``), so the production
-implementation solves the greedy process in closed form: the grant
-taking group ``i`` from ``a`` to ``a+1`` machines has priority
-``p_i(a) = W_i/a - T_i`` (its CPU pressure *before* the grant), the
+machine, hundreds of machines per ``_plan_for``), so beyond a few dozen
+spare machines the production implementation solves the greedy process
+in closed form: the grant taking group ``i`` from ``a`` to ``a+1``
+machines has priority ``p_i(a) = W_i/a - T_i`` (its CPU pressure
+*before* the grant), the
 per-group priority sequences are strictly decreasing, and the greedy
 loop executes exactly the ``spare`` highest-priority positive grants
 (ties across groups broken by group index).  Computing that set
@@ -43,6 +44,13 @@ MemoryFloorFn = Callable[[Sequence[str]], int]
 #: Above this many candidate grants the vectorized top-``spare``
 #: selection would allocate too much memory; fall back to the heap.
 _MAX_CANDIDATES = 4_000_000
+
+#: Up to this many spare machines the heap hands them out instead of
+#: the vectorized selection, whose dozen-odd NumPy calls cost a fixed
+#: ~45-60 us.  On the allocations of Fig. 10's runs (2-5 groups, 100
+#: machines) the heap takes ~18 us where spare <= 64, and ~61 us
+#: against the vectorized ~50 us where it is 65-100.
+_HEAP_MAX_SPARE = 64
 
 
 def allocate_machines(groups: Sequence[Sequence[JobMetrics]],
@@ -113,6 +121,8 @@ def allocate_machines(groups: Sequence[Sequence[JobMetrics]],
         # loop breaks with machines left over — order never matters.
         return [floors[i] + demand[i] for i in range(len(floors))]
 
+    if spare <= _HEAP_MAX_SPARE:
+        return _allocate_by_heap(list(floors), spare, cpu_work, t_net)
     counts = np.minimum(np.array(demand, dtype=np.int64), spare)
     n_candidates = int(counts.sum())
     if n_candidates > _MAX_CANDIDATES:

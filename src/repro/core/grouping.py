@@ -12,15 +12,17 @@ This is the incremental implementation on the scheduler's hot path:
 group imbalances are carried as running sums updated in O(1) per
 placement and per swap, the sort runs as one C-speed ``argsort`` over
 a :class:`~repro.core.profiler.MetricsView`, and the swap loop takes
-the most-imbalanced group by a single ``argmax`` instead of sorting
-all group imbalances each pass.  The original recompute-everything
-implementation survives verbatim in :mod:`repro.core.reference`; the
-differential suite pins the two to identical partitions.
+the most-imbalanced group by a single ``argmax`` (a list scan for a few
+dozen groups) instead of sorting all group imbalances each pass.  The
+original recompute-everything implementation survives verbatim in
+:mod:`repro.core.reference`; the differential suite pins the two to
+identical partitions.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -32,6 +34,12 @@ from repro.errors import SchedulingError
 #: of the sorted list: close enough in iteration time to avoid
 #: job-bound groups, free enough to balance CPU vs network use.
 _FILL_WINDOW = 4
+
+#: Up to this many groups the swap loop picks its pair by scanning
+#: Python lists; above it, by ``argmax``/``argmin`` over arrays.  A
+#: NumPy pick costs a fixed ~6-8 us per pass, a list scan ~1.5 us at 4
+#: groups, ~4 us at 32 and as much as NumPy's by 64.
+_SCAN_GROUPS_MAX = 32
 
 
 def _imbalance(group: Sequence[JobMetrics], m: int) -> float:
@@ -112,7 +120,8 @@ def _fill_groups(order: np.ndarray, t_cpu: list, t_net: list,
     append order, exactly the from-scratch sum), so a placement costs
     O(window) instead of O(|group|).
     """
-    order_list = [int(index) for index in order]
+    order_list = order.tolist() if isinstance(order, np.ndarray) \
+        else list(order)
     n = len(order_list)
     base, extra = divmod(n, n_groups)
 
@@ -120,28 +129,29 @@ def _fill_groups(order: np.ndarray, t_cpu: list, t_net: list,
     # entries of the virtual sorted remaining list, in list order —
     # popping the chosen entry and refilling from the tail preserves
     # the reference semantics without O(n) list shifts.
-    window: list[int] = []
-    position = 0
+    window = order_list[:_FILL_WINDOW]
+    position = len(window)
     groups: list[list[int]] = []
     imbalances: list[float] = []
     for group_index in range(n_groups):
-        quota = base + (1 if group_index < extra else 0)
         group: list[int] = []
         cpu_sum = 0.0
         net_sum = 0.0
-        for _ in range(quota):
-            while len(window) < _FILL_WINDOW and position < n:
-                window.append(order_list[position])
-                position += 1
+        for _ in range(base + 1 if group_index < extra else base):
             current = cpu_sum - net_sum
             best_slot = 0
             best_cost = None
-            for slot, index in enumerate(window):
+            slot = 0
+            for index in window:
                 cost = abs(current + t_cpu[index] - t_net[index])
                 if best_cost is None or cost < best_cost:
                     best_cost = cost
                     best_slot = slot
+                slot += 1
             chosen = window.pop(best_slot)
+            if position < n:
+                window.append(order_list[position])
+                position += 1
             group.append(chosen)
             cpu_sum += t_cpu[chosen]
             net_sum += t_net[chosen]
@@ -173,17 +183,34 @@ def _fine_tune_swaps(groups: list[list[int]], imbalances: list[float],
     float rounding — the carried sums must be bit-identical to the
     reference path's from-scratch sums for both paths to break those
     ties the same way.
+
+    Up to ``_SCAN_GROUPS_MAX`` groups the pair is picked from Python
+    lists (``max``/``min`` then ``index``: the first extreme, exactly
+    ``argmax``/``argmin``'s tie-break); the arrays pay off only above.
     """
     if len(groups) < 2:
         return
-    imbalance = np.array(imbalances, dtype=np.float64)
-    magnitude = np.abs(imbalance)
+    scan = len(groups) <= _SCAN_GROUPS_MAX
+    if scan:
+        imbalance = list(imbalances)
+        magnitude = [abs(value) for value in imbalance]
+    else:
+        imbalance = np.array(imbalances, dtype=np.float64)
+        magnitude = np.abs(imbalance)
     for _ in range(max_passes):
-        g1 = int(np.argmax(magnitude))
-        # Most complementary: the group whose imbalance is most opposite.
-        keyed = imbalance * (1.0 if imbalance[g1] > 0 else -1.0)
-        keyed[g1] = np.inf
-        g2 = int(np.argmin(keyed))
+        # g2 is the most complementary group: the one whose imbalance
+        # is most opposite to g1's.
+        if scan:
+            g1 = magnitude.index(max(magnitude))
+            keyed = imbalance[:] if imbalance[g1] > 0 \
+                else [-value for value in imbalance]
+            keyed[g1] = math.inf
+            g2 = keyed.index(min(keyed))
+        else:
+            g1 = int(np.argmax(magnitude))
+            keyed = imbalance * (1.0 if imbalance[g1] > 0 else -1.0)
+            keyed[g1] = np.inf
+            g2 = int(np.argmin(keyed))
         if not _best_swap(groups[g1], groups[g2],
                           float(imbalance[g1]), float(imbalance[g2]),
                           t_cpu, t_net):
@@ -210,8 +237,15 @@ def _best_swap(group_a: list[int], group_b: list[int],
     deltas_b = [t_cpu[index] - t_net[index] for index in group_b]
 
     if len(group_a) * len(group_b) <= 4096:
-        pairs = ((ia, ib) for ia in range(len(group_a))
-                 for ib in range(len(group_b)))
+        # Every pair, A-major: plain nested loops (no pair generator),
+        # the same visiting order and strict ``<`` as the reference.
+        for ia, delta_a in enumerate(deltas_a):
+            for ib, delta_b in enumerate(deltas_b):
+                new_cost = (abs(imbalance_a - delta_a + delta_b)
+                            + abs(imbalance_b - delta_b + delta_a))
+                if new_cost < best_cost:
+                    best_cost = new_cost
+                    best = (ia, ib)
     else:
         # Large groups (§V-F scale): for each job of A, only probe the
         # jobs of B whose delta is closest to the ideal swap partner
@@ -219,25 +253,19 @@ def _best_swap(group_a: list[int], group_b: list[int],
         # near delta_a - (I_a - I_b)/2).
         order_b = sorted(range(len(group_b)), key=deltas_b.__getitem__)
         sorted_deltas = [deltas_b[i] for i in order_b]
-
-        def candidate_pairs():
-            for ia in range(len(group_a)):
-                target = deltas_a[ia] - (imbalance_a - imbalance_b) / 2.0
-                position = bisect.bisect_left(sorted_deltas, target)
-                for offset in (-1, 0, 1):
-                    probe = position + offset
-                    if 0 <= probe < len(order_b):
-                        yield ia, order_b[probe]
-        pairs = candidate_pairs()
-
-    for ia, ib in pairs:
-        delta_a = deltas_a[ia]
-        delta_b = deltas_b[ib]
-        new_cost = (abs(imbalance_a - delta_a + delta_b)
-                    + abs(imbalance_b - delta_b + delta_a))
-        if new_cost < best_cost:
-            best_cost = new_cost
-            best = (ia, ib)
+        for ia, delta_a in enumerate(deltas_a):
+            target = delta_a - (imbalance_a - imbalance_b) / 2.0
+            position = bisect.bisect_left(sorted_deltas, target)
+            for offset in (-1, 0, 1):
+                probe = position + offset
+                if 0 <= probe < len(order_b):
+                    ib = order_b[probe]
+                    delta_b = deltas_b[ib]
+                    new_cost = (abs(imbalance_a - delta_a + delta_b)
+                                + abs(imbalance_b - delta_b + delta_a))
+                    if new_cost < best_cost:
+                        best_cost = new_cost
+                        best = (ia, ib)
     if best is None:
         return False
     ia, ib = best

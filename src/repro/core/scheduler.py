@@ -10,8 +10,9 @@ resulting grouping while the predicted cluster utilization improves
 
 This is the *incremental* implementation: one struct-of-arrays
 :class:`~repro.core.profiler.MetricsView` is extracted per ``schedule()``
-call and shared by every sub-step, prefix sort orders are warm-started
-from earlier prefixes, and whole prefix plans are memoized in a
+call and shared by every sub-step, small pools read every prefix's L6
+costs off one per-call table, long prefixes warm-start their sort
+orders from earlier prefixes, and whole prefix plans are memoized in a
 :class:`PlanCache` keyed by (job-set fingerprint, machine count) —
 invalidated through the profiler's listener hook whenever a job's
 moving averages change.  The pre-optimization path survives verbatim in
@@ -40,6 +41,24 @@ from repro.errors import SchedulingError
 #: (:mod:`repro.policies.planner`).
 ORDERING_DOP = 16
 _ORDERING_DOP = ORDERING_DOP
+
+#: Most ``jobs x candidate group counts`` cells for which one
+#: ``schedule()`` call tabulates the L6 cost of every (n_G, job) pair up
+#: front (see :meth:`HarmonyScheduler._pick_group_count`).  The table
+#: is paid in full however early the prefix loop stops; with every
+#: prefix evaluated it costs 1.1 ms per call against the probes' 7.2 ms
+#: at 128 jobs, but loses from about 800 jobs on (14 against 12 ms at
+#: 1,000).  Fig. 10's pools (at most 80 jobs on 100 machines, 6,400
+#: cells) stay under it; the §V-F pools (hundreds of jobs per cell and
+#: up) keep probing per n_G.
+_NG_TABLE_MAX_CELLS = 1 << 14
+
+#: Prefixes shorter than this sort their grouping order from scratch
+#: instead of merging into an earlier prefix's order: a fresh ``argsort``
+#: costs about 6 us at 128 jobs and 16 us at 512, the merge 13-24 us
+#: whatever the size; the merge wins from about a thousand jobs on
+#: (30 us against 32 at 1,024, 52 against 790 at 8,000).
+_WARM_ORDER_MIN_JOBS = 512
 
 #: Sentinel distinguishing "not cached" from a cached infeasible plan
 #: (``None`` is a legitimate, cacheable planning outcome).
@@ -120,7 +139,7 @@ class SchedulePlan:
 
 
 def argmin_convex(cost, low: int, high: int) -> int:
-    """Smallest integer minimizer of a convex cost on ``[low, high]``.
+    """An integer minimizer of a convex cost on ``[low, high]``.
 
     Ternary search with *non-strict* window shrinking: on a tie
     (``cost(mid1) == cost(mid2)``) the minimum lies anywhere inside
@@ -128,8 +147,15 @@ def argmin_convex(cost, low: int, high: int) -> int:
     of discarding an endpoint — the strict ``<``/exclusive variant can
     drop the true minimizer when the cost is piecewise-linear with flat
     segments (e.g. Σ|W_j·n_g/M − T_net_j|, whose bottom is often a
-    plateau).  Once the window is small the remaining points are scanned
-    linearly; ties resolve to the smallest argument.
+    plateau).  Once at most three points remain they are scanned
+    linearly and ties go to the smallest of *those*.
+
+    The result is a minimizer, but on a plateau it is not necessarily
+    the smallest one: a plateau that reaches past the final window has
+    smaller minimizers outside it.  A flat cost on ``[1, 10]`` returns
+    5, and ``max(0, 3 - n)`` on ``[1, 20]`` returns 10.  Both scheduler
+    paths call this function, so which plateau point it lands on is
+    part of their (pinned) decisions.
     """
     if low > high:
         raise SchedulingError(f"empty search window [{low}, {high}]")
@@ -175,9 +201,18 @@ class PlanCache:
     profiler's listener hook: a job's entries die the moment its moving
     averages change (§IV-B1), which is exactly when a memoized plan
     stops being the plan Algorithm 1 would recompute.
+
+    Invalidation is lazy: ``invalidate_job`` stamps the job with a
+    logical clock in O(1), and a lookup that would hit first checks the
+    entry's put-time stamp against its jobs' stamps, an O(#jobs) check
+    like the metrics-tuple comparison it already makes.  The profiler
+    publishes on every iteration and most lookups miss, so this keeps
+    the per-publish and per-put work constant; a dead entry is dropped
+    when a lookup finds it or when it ages out of the LRU.
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "_entries", "_by_job")
+    __slots__ = ("max_entries", "hits", "misses", "_entries", "_clock",
+                 "_invalidated")
 
     def __init__(self, max_entries: int = 256):
         if max_entries < 1:
@@ -186,11 +221,11 @@ class PlanCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        #: key -> (metrics tuple, plan-or-None)
+        #: key -> (metrics tuple, plan-or-None, put-time clock)
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
-        #: job_id -> keys of entries containing that job (invalidation
-        #: is O(affected entries), not a full scan per profiler update).
-        self._by_job: dict[str, set] = {}
+        self._clock = 0
+        #: job_id -> clock of its latest invalidation.
+        self._invalidated: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -199,47 +234,39 @@ class PlanCache:
         """The cached plan, or :data:`_CACHE_MISS` when absent."""
         entry = self._entries.get(key)
         if entry is not None and entry[0] == jobs:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry[1]
+            if self._live(entry):
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[1]
+            del self._entries[key]
         self.misses += 1
         return _CACHE_MISS
 
     def put(self, key: tuple, jobs: tuple,
             plan: "SchedulePlan | None") -> None:
-        if key in self._entries:
-            self._drop(key)
-        while len(self._entries) >= self.max_entries:
-            self._drop(next(iter(self._entries)))
-        self._entries[key] = (jobs, plan)
-        for job in jobs:
-            self._by_job.setdefault(job.job_id, set()).add(key)
+        entries = self._entries
+        entries.pop(key, None)
+        while len(entries) >= self.max_entries:
+            entries.popitem(last=False)
+        self._clock += 1
+        entries[key] = (jobs, plan, self._clock)
 
     def invalidate_job(self, job_id: str) -> None:
-        """Drop every entry whose job set contains ``job_id``."""
-        for key in self._by_job.pop(job_id, ()):
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._unindex(key, entry[0], skip=job_id)
+        """Kill every entry whose job set contains ``job_id``."""
+        self._clock += 1
+        self._invalidated[job_id] = self._clock
 
     def clear(self) -> None:
         self._entries.clear()
-        self._by_job.clear()
+        self._invalidated.clear()
 
-    def _drop(self, key: tuple) -> None:
-        jobs, _ = self._entries.pop(key)
-        self._unindex(key, jobs)
-
-    def _unindex(self, key: tuple, jobs: tuple,
-                 skip: "str | None" = None) -> None:
-        for job in jobs:
-            if job.job_id == skip:
-                continue
-            bucket = self._by_job.get(job.job_id)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del self._by_job[job.job_id]
+    def _live(self, entry: tuple) -> bool:
+        invalidated = self._invalidated
+        if not invalidated:
+            return True
+        stamp = entry[2]
+        return all(invalidated.get(job.job_id, 0) < stamp
+                   for job in entry[0])
 
 
 class HarmonyScheduler:
@@ -266,14 +293,19 @@ class HarmonyScheduler:
         #: ``schedule()`` call.
         self._warm_orders: "dict[int, tuple] | None" = None
         self._warm_reuses = 0
-        #: Per-call group-estimate memo: warm-started prefixes share
-        #: most group compositions (~90% repeat rate on churn streams),
-        #: and :meth:`~repro.core.perfmodel.PerfModel.estimate_group`
-        #: is pure, so a repeated group returns the identical estimate
-        #: object.  Keyed by member identity — only valid while the
-        #: current call's job snapshots are pinned, so
-        #: :meth:`build_plan` consults it only inside ``schedule()``.
-        #: None disables it (the reference path).
+        #: Per-call L6 cost table: row ``n_G - 1`` holds
+        #: ``|W_j·n_G/M − T_net_j|`` for every job of the call's pool, so
+        #: a prefix's costs are one row-sum over a slice.  None outside
+        #: ``schedule()`` and for pools over ``_NG_TABLE_MAX_CELLS``.
+        self._ng_table: "np.ndarray | None" = None
+        #: Per-call group memo: successive prefixes share most group
+        #: compositions (~90% repeat rate on churn streams), and
+        #: :meth:`~repro.core.perfmodel.PerfModel.estimate_group` is
+        #: pure, so a repeated ``(m, group)`` returns the identical
+        #: :class:`GroupPlan` (estimate included).  Keyed by member
+        #: identity — only valid while the current call's job snapshots
+        #: are pinned, so :meth:`build_plan` consults it only inside
+        #: ``schedule()``.  None disables it (the reference path).
         self._estimate_memo: "dict | None" = {}
 
     # -- Algorithm 1 ---------------------------------------------------------
@@ -302,6 +334,7 @@ class HarmonyScheduler:
         cache_misses = 0
         self._warm_orders = {}
         self._warm_reuses = 0
+        self._ng_table = _ng_cost_table(view, total_machines)
         if self._estimate_memo is not None:
             self._estimate_memo.clear()
         try:
@@ -337,6 +370,7 @@ class HarmonyScheduler:
         finally:
             warm_reuses = self._warm_reuses
             self._warm_orders = None
+            self._ng_table = None
         self.last_stats = ScheduleStats(
             n_jobs_offered=len(ordered),
             n_prefixes_evaluated=n_prefixes,
@@ -411,9 +445,11 @@ class HarmonyScheduler:
         """Sorted grouping order for ``view``, warm-started when an
         earlier prefix of the same ``schedule()`` call already sorted a
         shorter prefix at the same ``m_ref`` (prefixes are nested, so
-        the old order is a valid partial order of the new one)."""
+        the old order is a valid partial order of the new one) and the
+        prefix is long enough for the merge to pay
+        (``_WARM_ORDER_MIN_JOBS``)."""
         warm = self._warm_orders
-        if warm is None:
+        if warm is None or len(view) < _WARM_ORDER_MIN_JOBS:
             return grouping_order(view, m_ref)
         held = warm.get(m_ref)
         if held is not None and held[1] <= len(view):
@@ -438,32 +474,33 @@ class HarmonyScheduler:
         prefixes (exact ties are real — saturated utilization is exactly
         1.0), so the fast path and the reference path must share this
         exact floating-point arithmetic.  Repeated group compositions
-        within one ``schedule()`` call are served from the estimate
-        memo — the same pure function on the same pinned snapshots, so
-        the memo cannot change a single bit of the result.
+        within one ``schedule()`` call are served from the group memo —
+        the same pure function on the same pinned snapshots, so the memo
+        cannot change a single bit of the result.
         """
         memo = self._estimate_memo if self._warm_orders is not None \
             else None
-        if memo is None:
-            estimates = [self.perf_model.estimate_group(group, m)
-                         for group, m in zip(groups, allocation, strict=True)]
-        else:
-            estimate_group = self.perf_model.estimate_group
-            estimates = []
-            for group, m in zip(groups, allocation, strict=True):
-                key = (m, *map(id, group))
-                cached = memo.get(key)
-                if cached is None:
-                    cached = estimate_group(group, m)
-                    memo[key] = cached
-                estimates.append(cached)
+        plans = []
+        for group, m in zip(groups, allocation, strict=True):
+            if memo is None:
+                plans.append(self._group_plan(group, m))
+                continue
+            key = (m, *map(id, group))
+            plan = memo.get(key)
+            if plan is None:
+                plan = memo[key] = self._group_plan(group, m)
+            plans.append(plan)
         utilization = self.perf_model.cluster_utilization(
-            estimates, total_machines=total_machines)
-        plans = tuple(GroupPlan(job_ids=e.job_ids, n_machines=m, estimate=e)
-                      for e, m in zip(estimates, allocation, strict=True))
-        return SchedulePlan(groups=plans, utilization=utilization,
+            [plan.estimate for plan in plans],
+            total_machines=total_machines)
+        return SchedulePlan(groups=tuple(plans), utilization=utilization,
                             score=self.perf_model.score(utilization),
                             total_machines=total_machines)
+
+    def _group_plan(self, group: Sequence[JobMetrics], m: int) -> GroupPlan:
+        estimate = self.perf_model.estimate_group(group, m)
+        return GroupPlan(job_ids=estimate.job_ids, n_machines=m,
+                         estimate=estimate)
 
     # -- L6: the group-count search ---------------------------------------------
 
@@ -482,6 +519,16 @@ class HarmonyScheduler:
         if min_groups > max_groups:
             min_groups = max_groups
 
+        table = self._ng_table
+        if table is not None:
+            # Inside schedule() every view is a prefix of the pool the
+            # table was built for: each row-sum is the very reduction
+            # cost() below performs, over the same elements.
+            costs = table[min_groups - 1:max_groups, :len(view)].sum(
+                axis=1).tolist()
+            return argmin_convex(lambda n_g: costs[n_g - min_groups],
+                                 min_groups, max_groups)
+
         cpu_work = view.cpu_work
         t_net = view.t_net
 
@@ -495,6 +542,27 @@ class HarmonyScheduler:
         # Flat bottom segments are common (the absolute values cancel
         # over whole intervals), hence the plateau-safe variant.
         return argmin_convex(cost, min_groups, max_groups)
+
+
+def _ng_cost_table(view: MetricsView,
+                   total_machines: int) -> "np.ndarray | None":
+    """``|W_j · n_G / M − T_net_j|`` for ``n_G = 1..min(n, M)`` (rows)
+    and every job ``j`` of ``view`` (columns), or None when that is more
+    than ``_NG_TABLE_MAX_CELLS`` cells.
+
+    Each cell is the element L6's per-probe cost computes (the same
+    product with the same ``n_G / M`` scale, the same difference and
+    absolute value), and NumPy row-sums a C-ordered table with the same
+    pairwise reduction as a 1-D sum, so a prefix's costs read off the
+    table are bitwise the probes' — for four NumPy calls per
+    ``schedule()`` and one row-sum per prefix instead of ~5 calls per
+    probe.
+    """
+    n_rows = min(len(view), total_machines)
+    if n_rows * len(view) > _NG_TABLE_MAX_CELLS:
+        return None
+    scales = np.arange(1, n_rows + 1) / total_machines
+    return np.abs(np.multiply.outer(scales, view.cpu_work) - view.t_net)
 
 
 def _prefix_fingerprints(ordered: Sequence[JobMetrics]) -> list:

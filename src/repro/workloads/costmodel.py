@@ -73,6 +73,8 @@ class CostModel:
         self.comm_architecture = comm_architecture
         from repro.cluster.allreduce import AllReduceModel
         self._allreduce = AllReduceModel(self.spec)
+        #: id(spec) -> (spec, :meth:`_memory_constants` of it).
+        self._constants: dict[int, tuple] = {}
 
     # -- subtask durations ----------------------------------------------
 
@@ -105,13 +107,33 @@ class CostModel:
 
     # -- memory footprints (per machine) ---------------------------------
 
+    def _memory_constants(self, job: JobSpec) -> tuple[float, ...]:
+        """``(input bytes after expansion, model bytes, worker-cache
+        bytes, workspace fraction)``: the DoP- and spill-independent
+        factors every footprint below is built from.
+
+        Memoized per spec object (specs are immutable): the scheduler's
+        feasibility floors re-read them for every candidate group.  The
+        entry keeps its spec alive, so its ``id`` cannot be reused.
+        """
+        entry = self._constants.get(id(job))
+        if entry is not None and entry[0] is job:
+            return entry[1]
+        model_bytes = job.model_gb * GB
+        constants = (job.input_gb * GB * job.app.memory_expansion,
+                     model_bytes,
+                     model_bytes * job.app.worker_cache_fraction,
+                     job.app.workspace_fraction)
+        self._constants[id(job)] = (job, constants)
+        return constants
+
     def input_resident_bytes(self, job: JobSpec, m: int,
                              alpha: float = 0.0) -> float:
         """Memory-side input blocks per machine at disk ratio ``alpha``."""
         self._check_dop(m)
         self._check_alpha(alpha)
-        return (job.input_gb * GB * job.app.memory_expansion
-                * (1.0 - alpha) / m)
+        return self._footprint(self._memory_constants(job), m, alpha,
+                               False)[0]
 
     def model_resident_bytes(self, job: JobSpec, m: int,
                              model_spilled: bool = False) -> float:
@@ -124,27 +146,46 @@ class CostModel:
         partition/replica lives on disk between the job's iterations.
         """
         self._check_dop(m)
-        model_bytes = job.model_gb * GB
-        cache = model_bytes * job.app.worker_cache_fraction
-        if model_spilled:
-            return cache
-        if self.comm_architecture == "allreduce":
-            return model_bytes + cache
-        return model_bytes / m + cache
+        return self._footprint(self._memory_constants(job), m, 0.0,
+                               model_spilled)[1]
 
     def workspace_bytes(self, job: JobSpec, m: int,
                         alpha: float = 0.0) -> float:
         """Intermediate results generated while computing (§II-B)."""
-        base = (self.input_resident_bytes(job, m, alpha)
-                + job.model_gb * GB * job.app.worker_cache_fraction)
-        return base * job.app.workspace_fraction
+        self._check_dop(m)
+        self._check_alpha(alpha)
+        return self._footprint(self._memory_constants(job), m, alpha,
+                               False)[2]
 
     def resident_bytes(self, job: JobSpec, m: int, alpha: float = 0.0,
                        model_spilled: bool = False) -> float:
         """Total resident bytes per machine for this job."""
-        return (self.input_resident_bytes(job, m, alpha)
-                + self.model_resident_bytes(job, m, model_spilled)
-                + self.workspace_bytes(job, m, alpha))
+        self._check_dop(m)
+        self._check_alpha(alpha)
+        return self._resident(self._memory_constants(job), m, alpha,
+                              model_spilled)
+
+    def _footprint(self, constants: tuple[float, ...], m: int,
+                   alpha: float, model_spilled: bool) -> \
+            tuple[float, float, float]:
+        """``(input, model, workspace)`` bytes per machine, unvalidated:
+        the one definition of each component (the workspace holds the
+        intermediates of the resident input blocks and worker cache)."""
+        input_bytes, model_bytes, cache, workspace = constants
+        resident_input = input_bytes * (1.0 - alpha) / m
+        if model_spilled:
+            model = cache
+        elif self.comm_architecture == "allreduce":
+            model = model_bytes + cache
+        else:
+            model = model_bytes / m + cache
+        return resident_input, model, (resident_input + cache) * workspace
+
+    def _resident(self, constants: tuple[float, ...], m: int,
+                  alpha: float, model_spilled: bool) -> float:
+        resident_input, model, workspace = self._footprint(
+            constants, m, alpha, model_spilled)
+        return resident_input + model + workspace
 
     def memory_floor(self, jobs: Sequence[JobSpec], alpha: float, *,
                      target_pressure: float, limit: int,
@@ -160,15 +201,18 @@ class CostModel:
         the fixup steps to where the predicate flips, which makes the
         result bitwise-equal to a linear scan over ``m``.
         """
+        self._check_alpha(alpha)
         budget = self.spec.usable_memory_bytes * target_pressure
+        constants = [self._memory_constants(job) for job in jobs]
+        resident = self._resident
 
         def fits(m: int) -> bool:
-            return sum(self.resident_bytes(job, m, alpha, model_spilled)
-                       for job in jobs) <= budget
+            return sum(resident(c, m, alpha, model_spilled)
+                       for c in constants) <= budget
 
         sum_a = sum_b = 0.0
-        for job in jobs:
-            a, b = self._affine_resident(job, alpha, model_spilled)
+        for c in constants:
+            a, b = self._affine_resident(c, alpha, model_spilled)
             sum_a += a
             sum_b += b
         headroom = budget - sum_b
@@ -182,20 +226,20 @@ class CostModel:
             m += 1
         return m
 
-    def _affine_resident(self, job: JobSpec, alpha: float,
+    def _affine_resident(self, constants: tuple[float, ...], alpha: float,
                          model_spilled: bool) -> tuple[float, float]:
-        """``(A, B)`` with ``resident_bytes(job, m) == A/m + B``.
+        """``(A, B)`` with ``resident_bytes(job, m) == A/m + B`` for the
+        job whose :meth:`_memory_constants` are ``constants``.
 
         Input blocks and their workspace share scale as 1/m; the worker
         cache and its workspace share do not; the model counts towards
         ``A`` as a PS partition, towards ``B`` as an all-reduce replica,
         and not at all once spilled.
         """
-        grow = 1.0 + job.app.workspace_fraction
-        model_bytes = job.model_gb * GB
-        a = (job.input_gb * GB * job.app.memory_expansion
-             * (1.0 - alpha) * grow)
-        b = model_bytes * job.app.worker_cache_fraction * grow
+        input_bytes, model_bytes, cache, workspace = constants
+        grow = 1.0 + workspace
+        a = input_bytes * (1.0 - alpha) * grow
+        b = cache * grow
         if not model_spilled:
             if self.comm_architecture == "allreduce":
                 b += model_bytes

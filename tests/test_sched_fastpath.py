@@ -9,17 +9,25 @@ from hypothesis import given, settings, strategies as st
 from repro.check.scenarios import ScenarioGenerator
 from repro.cluster.cluster import Cluster
 from repro.config import SchedulerConfig, SimConfig
-from repro.core.allocation import allocate_machines
-from repro.core.grouping import assign_jobs
+from repro.core.allocation import _HEAP_MAX_SPARE, allocate_machines
+from repro.core.grouping import _SCAN_GROUPS_MAX, assign_jobs
 from repro.core.master import HarmonyMaster
-from repro.core.profiler import JobMetrics, Profiler
+from repro.core.profiler import JobMetrics, MetricsView, Profiler
 from repro.core.reference import (
     ReferenceScheduler,
     reference_allocate_machines,
     reference_assign_jobs,
 )
 from repro.core.regroup import splice_plan
-from repro.core.scheduler import HarmonyScheduler, PlanCache, _CACHE_MISS
+from repro.core.runtime import HarmonyRuntime
+from repro.core.scheduler import (
+    HarmonyScheduler,
+    PlanCache,
+    _CACHE_MISS,
+    _WARM_ORDER_MIN_JOBS,
+    _ng_cost_table,
+)
+from repro.experiments.common import scaled_workload
 from repro.metrics.utilization import ClusterUsageRecorder
 from repro.sim import RandomStreams, Simulator
 from repro.workloads.costmodel import CostModel
@@ -35,6 +43,10 @@ def make_jobs(values):
 
 def partitions(plan):
     return tuple(group.job_ids for group in plan.groups)
+
+
+def group_ids(groups):
+    return [[job.job_id for job in group] for group in groups]
 
 
 job_values = st.lists(
@@ -74,6 +86,20 @@ class TestSchedulerDifferential:
         assert stats.cache_misses == 0
         assert stats.cache_hits == stats.n_prefixes_evaluated
         assert stats.fast_path
+
+    @settings(max_examples=6, deadline=None)
+    @given(values=st.lists(
+        st.tuples(st.floats(0.01, 80.0), st.floats(0.001, 6.0)),
+        min_size=129, max_size=150),
+        machines=st.integers(129, 300))
+    def test_plans_bitwise_equal_above_ng_table_cutoff(self, values,
+                                                        machines):
+        """Pools too large for the per-call L6 table take the per-n_G
+        probes (the §V-F path); those plans must match too."""
+        jobs = make_jobs(values)
+        assert _ng_cost_table(MetricsView(jobs), machines) is None
+        assert HarmonyScheduler().schedule(jobs, machines) \
+            == ReferenceScheduler().schedule(jobs, machines)
 
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_scenario_generator_pools_match_reference(self, seed):
@@ -142,13 +168,146 @@ class TestAllocatorDifferential:
                 == reference_allocate_machines(groups, machines)
 
 
+#: Profiled values drawn from a small grid repeat exactly, so the exact
+#: L6 plateaus, equal swap imbalances and equal allocation priorities
+#: that continuous floats almost never produce become common.
+GRID_WORK = (0.5, 1.0, 2.0, 3.0, 4.5, 8.0, 12.0, 16.0, 24.0, 40.0)
+GRID_NET = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+grid_value = st.tuples(st.sampled_from(GRID_WORK),
+                       st.sampled_from(GRID_NET))
+
+
+@st.composite
+def grid_pools(draw, min_size=41, max_size=100):
+    """Pools of 41-100 jobs copied from a few grid prototypes, so most
+    jobs have exact duplicates."""
+    prototypes = draw(st.lists(grid_value, min_size=1, max_size=8))
+    return make_jobs(draw(st.lists(st.sampled_from(prototypes),
+                                   min_size=min_size,
+                                   max_size=max_size)))
+
+
+class _ReferenceGroupCount(HarmonyScheduler):
+    """The default scheduler with the reference's L6 cost.
+
+    The two L6 costs are the same float terms summed in a different
+    order (NumPy's pairwise reduction against the reference's Python
+    left-to-right sum), and on an exact L6 plateau the two sums can
+    round apart and pick different n_G*.  With the reference's L6 on
+    both sides, everything downstream (ordering, fill, swaps,
+    allocation, the per-call memos, plan assembly) is compared under
+    ties.
+    """
+
+    _pick_group_count = ReferenceScheduler._pick_group_count
+
+
+class TestTieHeavyDifferential:
+    @settings(max_examples=20, deadline=None)
+    @given(jobs=grid_pools(), machines=st.integers(1, 200),
+           order=st.sampled_from(ORDERS))
+    def test_plans_match_reference_under_ties(self, jobs, machines,
+                                              order):
+        config = SchedulerConfig(admission_order=order)
+        assert _ReferenceGroupCount(config=config).schedule(
+            jobs, machines) == ReferenceScheduler(config=config).schedule(
+            jobs, machines)
+
+    @settings(max_examples=20, deadline=None)
+    @given(jobs=grid_pools(), machines=st.integers(1, 200))
+    def test_ng_table_matches_probes(self, jobs, machines):
+        """n_G* read off the per-call table equals n_G* from per-n_G
+        probes (the path above ``_NG_TABLE_MAX_CELLS``) on every
+        prefix, plateaus included."""
+        scheduler = HarmonyScheduler()
+        view = MetricsView(jobs)
+        table = _ng_cost_table(view, machines)
+        assert table is not None
+        for n_jobs in range(1, len(jobs) + 1):
+            prefix = view.prefix(n_jobs)
+            scheduler._ng_table = table
+            tabled = scheduler._pick_group_count(prefix, machines)
+            scheduler._ng_table = None
+            assert tabled == scheduler._pick_group_count(prefix, machines)
+
+    @settings(max_examples=20, deadline=None)
+    @given(jobs=grid_pools(), data=st.data(), m_ref=st.integers(1, 64))
+    def test_grouping_matches_reference_either_side_of_scan_cutoff(
+            self, jobs, data, m_ref):
+        for low, high in ((2, _SCAN_GROUPS_MAX),
+                          (_SCAN_GROUPS_MAX + 1, len(jobs))):
+            n_groups = data.draw(st.integers(low, high))
+            assert group_ids(assign_jobs(jobs, n_groups, m_ref=m_ref)) \
+                == group_ids(reference_assign_jobs(jobs, n_groups,
+                                                   m_ref=m_ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.lists(st.lists(grid_value, min_size=1, max_size=5),
+                           min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=20),
+           data=st.data(), by_heap=st.booleans(),
+           with_floor=st.booleans())
+    def test_allocation_matches_reference_either_side_of_heap_cutoff(
+            self, shapes, picks, data, by_heap, with_floor):
+        """Groups repeat whole (equal sums, equal floors), so grants
+        tie on priority and the group-index tie-break decides."""
+        groups = [make_jobs(shapes[pick % len(shapes)]) for pick in picks]
+        floor = (lambda ids: 1 + len(ids) % 3) if with_floor else None
+        floors = sum(floor(group_ids([group])[0]) if floor else 1
+                     for group in groups)
+        spare = data.draw(st.integers(0, _HEAP_MAX_SPARE) if by_heap
+                          else st.integers(_HEAP_MAX_SPARE + 1, 400))
+        machines = floors + spare
+        assert allocate_machines(groups, machines, memory_floor=floor) \
+            == reference_allocate_machines(groups, machines,
+                                           memory_floor=floor)
+
+
+class _LargestPool(HarmonyScheduler):
+    """The default scheduler, recording the largest pool it is asked
+    to schedule."""
+
+    largest = 0
+
+    def schedule(self, jobs, total_machines):
+        self.largest = max(self.largest, len(jobs))
+        return super().schedule(jobs, total_machines)
+
+
+class TestWholeRunDifferential:
+    """Whole Fig. 10-shaped runs, not single ``schedule()`` calls: the
+    master's escalation scopes, periodic checks and plan-cache
+    invalidations all feed the scheduler, and the default scheduler
+    must drive the run exactly as the reference does."""
+
+    @pytest.mark.parametrize("scale, seed, largest_pool", [
+        (0.25, 2021, 1), (0.25, 7, 1), (0.6, 11, 41)])
+    def test_run_matches_reference_scheduler(self, scale, seed,
+                                             largest_pool):
+        jobs, machines = scaled_workload(scale, seed)
+        fast = HarmonyRuntime(machines, jobs,
+                              scheduler_factory=_LargestPool)
+        ref = HarmonyRuntime(machines, jobs,
+                             scheduler_factory=ReferenceScheduler)
+        fast_result, ref_result = fast.run(), ref.run()
+
+        def outcomes(result):
+            return {job_id: (outcome.state, outcome.finish_time)
+                    for job_id, outcome in result.outcomes.items()}
+
+        assert outcomes(fast_result) == outcomes(ref_result)
+        assert fast_result.makespan == ref_result.makespan
+        assert fast.master.group_shape_log == ref.master.group_shape_log
+        assert fast.master.scheduler.largest >= largest_pool
+
+
 class TestPlanCache:
-    def pool(self):
+    def pool(self, n_jobs=24):
         rng = np.random.default_rng(5)
         return [JobMetrics(job_id=f"j{i}",
                            cpu_work=float(rng.uniform(1, 40)),
                            t_net=float(rng.uniform(0.1, 3)),
-                           m_observed=16) for i in range(24)]
+                           m_observed=16) for i in range(n_jobs)]
 
     def test_profiler_update_invalidates_affected_plans(self):
         """After a metrics publish, the next schedule must not serve a
@@ -213,12 +372,26 @@ class TestPlanCache:
         assert scheduler.last_stats.cache_hits == 0
 
     def test_warm_starts_engage_without_cache(self):
+        """Warm starts engage on prefixes of at least
+        ``_WARM_ORDER_MIN_JOBS`` jobs (1,200 jobs on 4,000 machines
+        grow prefixes that long before the loop stops)."""
         scheduler = HarmonyScheduler(
             config=SchedulerConfig(plan_cache_entries=0))
-        scheduler.schedule(self.pool(), 60)
+        jobs = self.pool(1200)
+        plan = scheduler.schedule(jobs, 4000)
         stats = scheduler.last_stats
         assert stats.warm_start_reuses > 0
         assert stats.fast_path
+        assert plan == ReferenceScheduler().schedule(jobs, 4000)
+
+    def test_short_prefixes_sort_from_scratch(self):
+        scheduler = HarmonyScheduler(
+            config=SchedulerConfig(plan_cache_entries=0))
+        jobs = self.pool()
+        assert len(jobs) < _WARM_ORDER_MIN_JOBS
+        plan = scheduler.schedule(jobs, 60)
+        assert scheduler.last_stats.warm_start_reuses == 0
+        assert plan == ReferenceScheduler().schedule(jobs, 60)
 
 
 class TestSplicePlan:

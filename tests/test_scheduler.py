@@ -85,6 +85,14 @@ class TestArgminConvex:
             exhaustive = min(cost(n) for n in range(low, high + 1))
             assert cost(best) == pytest.approx(exhaustive)
 
+    def test_plateau_past_final_window_is_not_smallest_minimizer(self):
+        """Pinned, not ideal: ties only resolve to the smallest point of
+        the *final* window, so a plateau reaching past it returns a
+        larger minimizer.  Both scheduler paths' n_G* picks depend on
+        exactly these results."""
+        assert argmin_convex(lambda n: 1.0, 1, 10) == 5
+        assert argmin_convex(lambda n: max(0, 3 - n), 1, 20) == 10
+
     def test_tiny_windows(self):
         assert argmin_convex(lambda n: n, 5, 5) == 5
         assert argmin_convex(lambda n: -n, 3, 4) == 4
